@@ -7,8 +7,8 @@
 
 namespace gfi {
 
-Histogram::Histogram(f64 lo, f64 hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins == 0 ? 1 : bins, 0.0) {}
+Histogram::Histogram(f64 lo, f64 hi, std::size_t bins, Scale scale)
+    : lo_(lo), hi_(hi), scale_(scale), counts_(bins == 0 ? 1 : bins, 0.0) {}
 
 void Histogram::add(f64 value, f64 weight) {
   // NaN has no bin: casting it to an integer is UB, and silently counting it
@@ -18,21 +18,33 @@ void Histogram::add(f64 value, f64 weight) {
     dropped_ += weight;
     return;
   }
-  const f64 span = hi_ - lo_;
   // Clamp in the f64 domain BEFORE the integer cast: a far-out-of-range
   // value (or the +-inf that lo_ == hi_ produces via the zero-span divide)
   // would overflow ptrdiff_t in the cast, which is UB.
   f64 pos = 0.0;
-  if (span > 0.0) {
-    pos = (value - lo_) / span * static_cast<f64>(counts_.size());
-    pos = std::clamp(pos, 0.0, static_cast<f64>(counts_.size() - 1));
+  if (scale_ == Scale::kLog) {
+    // value <= lo_ (zero and negatives included) stays in bin 0 rather
+    // than taking the log of a non-positive ratio.
+    if (hi_ > lo_ && value > lo_) {
+      pos = std::log(value / lo_) / std::log(hi_ / lo_) *
+            static_cast<f64>(counts_.size());
+    }
+  } else if (hi_ > lo_) {
+    pos = (value - lo_) / (hi_ - lo_) * static_cast<f64>(counts_.size());
   }
+  pos = std::clamp(pos, 0.0, static_cast<f64>(counts_.size() - 1));
   counts_[static_cast<std::size_t>(pos)] += weight;
   total_ += weight;
 }
 
 f64 Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<f64>(bin) / static_cast<f64>(counts_.size());
+  if (bin == 0) return lo_;
+  if (bin >= counts_.size()) return hi_;
+  const f64 n = static_cast<f64>(counts_.size());
+  if (scale_ == Scale::kLog) {
+    return lo_ * std::pow(hi_ / lo_, static_cast<f64>(bin) / n);
+  }
+  return lo_ + (hi_ - lo_) * static_cast<f64>(bin) / n;
 }
 
 f64 Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }

@@ -1,5 +1,6 @@
 // Fixed-bin histogram with ASCII bar rendering, used for figure-style
-// benches (bit-position sensitivity, SDC severity distributions).
+// benches (bit-position sensitivity, SDC severity distributions) and, on a
+// log scale, for campaign latency metrics.
 #pragma once
 
 #include <string>
@@ -11,14 +12,20 @@ namespace gfi {
 
 class Histogram {
  public:
-  /// Uniform bins over [lo, hi); values outside are clamped to edge bins.
-  Histogram(f64 lo, f64 hi, std::size_t bins);
+  /// How bin edges divide [lo, hi): equal widths, or equal ratios (log-
+  /// spaced, for latencies spanning decades; needs 0 < lo).
+  enum class Scale : u8 { kLinear, kLog };
+
+  /// `bins` bins over [lo, hi); values outside are clamped to edge bins.
+  Histogram(f64 lo, f64 hi, std::size_t bins, Scale scale = Scale::kLinear);
 
   /// Adds a sample. NaN values are never binned (they go to dropped());
-  /// out-of-range and non-finite values clamp to the edge bins; a degenerate
-  /// range (lo == hi) puts every sample in bin 0.
+  /// out-of-range and non-finite values clamp to the edge bins (on a log
+  /// scale, so do zero and negative values); a degenerate range (lo == hi)
+  /// puts every sample in bin 0.
   void add(f64 value, f64 weight = 1.0);
 
+  [[nodiscard]] Scale scale() const { return scale_; }
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] f64 bin_lo(std::size_t bin) const;
   [[nodiscard]] f64 bin_hi(std::size_t bin) const;
@@ -33,6 +40,7 @@ class Histogram {
  private:
   f64 lo_;
   f64 hi_;
+  Scale scale_;
   std::vector<f64> counts_;
   f64 total_ = 0.0;
   f64 dropped_ = 0.0;

@@ -355,18 +355,18 @@ Result<InjectionRecord> Campaign::run_single(
   u64 first_launch_sbe = 0;
   std::optional<wl::Workload::Checked> final_check;
 
-  // Path-selection telemetry: resolved once, bumped per launch attempt.
-  obs::Counter* path_instrumented =
-      metrics ? &metrics->counter("campaign.path.instrumented") : nullptr;
-  obs::Counter* path_clean =
-      metrics ? &metrics->counter("campaign.path.clean") : nullptr;
   // Dispatch-tier telemetry, keyed on what the engine actually ran
-  // (LaunchResult::tier_used) rather than what the launch requested.
+  // (LaunchResult::tier_used, LaunchResult::instrumented_warp_instrs)
+  // rather than what the launch requested: launches per final tier,
+  // mid-launch downgrades, and dynamic warp instructions per tier, whose
+  // two counters sum to the launched records' journal `dyn` total.
   // Purely additive: counters go only to --metrics-out snapshots, never
   // journals, so tier pins cannot perturb journal diffs.
   obs::Counter* tier_counter[static_cast<int>(sim::EngineTier::kThreaded) + 1] =
       {};
   obs::Counter* tier_downgrades = nullptr;
+  obs::Counter* instrumented_winstrs = nullptr;
+  obs::Counter* fast_winstrs = nullptr;
   if (metrics) {
     for (const sim::EngineTier tier :
          {sim::EngineTier::kInstrumented, sim::EngineTier::kClean,
@@ -375,6 +375,9 @@ Result<InjectionRecord> Campaign::run_single(
           std::string("engine.dispatch.") + sim::engine_tier_name(tier));
     }
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
+    instrumented_winstrs =
+        &metrics->counter("engine.dispatch.instrumented_winstrs");
+    fast_winstrs = &metrics->counter("engine.dispatch.fast_winstrs");
   }
 
   // One attempt = arm fault (if due) + launch + result check. The retry
@@ -393,20 +396,16 @@ Result<InjectionRecord> Campaign::run_single(
     } else if (armed) {
       options.hooks.push_back(&injector);
     }
-    // Hooks attached selects the instrumented engine; memory-mode and
-    // unarmed retry launches run clean (sassim decides the same way).
-    if (obs::Counter* path = options.hooks.empty() ? path_clean
-                                                   : path_instrumented) {
-      path->inc();
-    }
-
     auto launch = device.launch(workload->program(), spec.value().grid,
                                 spec.value().block, spec.value().params,
                                 options);
     if (!launch.is_ok()) return launch.status();
     if (metrics) {
-      tier_counter[static_cast<int>(launch.value().tier_used)]->inc();
-      if (launch.value().downgraded) tier_downgrades->inc();
+      const sim::LaunchResult& ran = launch.value();
+      tier_counter[static_cast<int>(ran.tier_used)]->inc();
+      if (ran.downgraded) tier_downgrades->inc();
+      instrumented_winstrs->inc(ran.instrumented_warp_instrs);
+      fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs);
     }
     if (attempt == 0) {
       if (memory_mode) {
@@ -656,8 +655,12 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   obs::Counter& pruned_counter = reg.counter("campaign.injections.pruned");
   obs::Counter& retries = reg.counter("campaign.retries");
   obs::Counter& watchdog_hangs = reg.counter("campaign.watchdog.hangs");
-  obs::LatencyHistogram& latency = reg.histogram(
-      "campaign.injection.latency_ms", 0.0, 500.0, 50);
+  // Log-spaced, 10 bins per decade over 0.01 ms .. 10 s: an injection
+  // takes from tens of microseconds (toy kernels) to seconds (hangs run to
+  // the watchdog), and linear bins crowd every fast kernel into bin 0.
+  obs::LatencyHistogram& latency =
+      reg.histogram("campaign.injection.latency_ms", 0.01, 10000.0, 60,
+                    Histogram::Scale::kLog);
   reg.gauge("campaign.injections.total")
       .set(static_cast<f64>(result.run_indices.size()));
   for (std::size_t slot = 0; slot < result.run_indices.size(); ++slot) {

@@ -18,19 +18,30 @@ std::string FaultSite::to_string() const {
   return out.str();
 }
 
-bool InjectorHook::is_target(const sim::InstrContext& ctx) const {
+bool InjectorHook::is_target(sim::InstrGroup group) const {
   switch (site_.model.mode) {
     case InjectionMode::kIov:
     case InjectionMode::kPred:
     case InjectionMode::kIoa:
-      if (!mode_targets_group(site_.model.mode, ctx.group)) return false;
-      return !site_.group || *site_.group == ctx.group;
+      if (!mode_targets_group(site_.model.mode, group)) return false;
+      return !site_.group || *site_.group == group;
     case InjectionMode::kRf:
       return true;  // strikes at an absolute dynamic index
     case InjectionMode::kMemory:
       return false;  // handled outside the hook (pre-launch)
   }
   return false;
+}
+
+std::optional<sim::StrikeTrigger> InjectorHook::trigger() const {
+  if (fired_) return std::nullopt;
+  sim::StrikeTrigger t;
+  t.group_mask = 0;
+  for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+    if (is_target(static_cast<sim::InstrGroup>(g))) t.group_mask |= 1u << g;
+  }
+  t.occurrence = site_.target_occurrence - eligible_seen_;
+  return t;
 }
 
 u32 InjectorHook::pick_lane(u32 exec_mask, u32 lane_sel) {
@@ -51,7 +62,7 @@ void InjectorHook::on_before_instr(sim::InstrContext& ctx) {
     if (eligible_seen_++ == site_.target_occurrence) strike_rf(ctx);
     return;
   }
-  if (site_.model.mode == InjectionMode::kIoa && is_target(ctx)) {
+  if (site_.model.mode == InjectionMode::kIoa && is_target(ctx.group)) {
     if (eligible_seen_++ == site_.target_occurrence) {
       // Arm the address transform for this store instruction.
       fired_ = true;
@@ -71,7 +82,7 @@ void InjectorHook::on_after_instr(sim::InstrContext& ctx) {
   if (fired_) return;
   const auto mode = site_.model.mode;
   if (mode != InjectionMode::kIov && mode != InjectionMode::kPred) return;
-  if (!is_target(ctx)) return;
+  if (!is_target(ctx.group)) return;
   if (eligible_seen_++ != site_.target_occurrence) return;
 
   fired_ = true;

@@ -58,6 +58,19 @@ class InjectorHook final : public sim::InstrumentHook {
     return fired_ && armed_store_dyn_ == ~0ULL;
   }
 
+  /// The strike site as a native trigger: the groups is_target() accepts
+  /// (all groups for kRf, none for kMemory) and the target occurrence, so
+  /// the engine counts exactly the instructions this hook would count.
+  /// None once fired (the hook is already done observing). Occurrences a
+  /// triggered launch passes without reaching the site are not counted
+  /// into the hook, so attach a fresh hook to each launch, as the campaign
+  /// does.
+  [[nodiscard]] std::optional<sim::StrikeTrigger> trigger() const override;
+  /// The engine skipped every eligible instruction before the target.
+  void on_trigger_reached() override {
+    eligible_seen_ = site_.target_occurrence;
+  }
+
   [[nodiscard]] const InjectionEffect& effect() const { return effect_; }
 
   /// Picks the struck lane among the set bits of `exec_mask`. Public so the
@@ -66,7 +79,7 @@ class InjectorHook final : public sim::InstrumentHook {
   [[nodiscard]] static u32 pick_lane(u32 exec_mask, u32 lane_sel);
 
  private:
-  [[nodiscard]] bool is_target(const sim::InstrContext& ctx) const;
+  [[nodiscard]] bool is_target(sim::InstrGroup group) const;
 
   void strike_iov(sim::InstrContext& ctx);
   void strike_pred(sim::InstrContext& ctx);

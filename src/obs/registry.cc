@@ -38,10 +38,11 @@ Gauge& Registry::gauge(const std::string& name) {
 }
 
 LatencyHistogram& Registry::histogram(const std::string& name, f64 lo, f64 hi,
-                                      std::size_t bins) {
+                                      std::size_t bins,
+                                      Histogram::Scale scale) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>(lo, hi, bins);
+  if (!slot) slot = std::make_unique<LatencyHistogram>(lo, hi, bins, scale);
   return *slot;
 }
 
@@ -59,6 +60,7 @@ Snapshot Registry::snapshot() const {
     Snapshot::HistogramSnapshot h;
     h.lo = sample.histogram.bin_lo(0);
     h.hi = sample.histogram.bin_hi(sample.histogram.bins() - 1);
+    h.scale = sample.histogram.scale();
     h.bin_counts.reserve(sample.histogram.bins());
     for (std::size_t b = 0; b < sample.histogram.bins(); ++b) {
       h.bin_counts.push_back(sample.histogram.count(b));
@@ -88,7 +90,8 @@ void Snapshot::merge(const Snapshot& other) {
     }
     HistogramSnapshot& mine = it->second;
     if (mine.bin_counts.size() != histogram.bin_counts.size() ||
-        mine.lo != histogram.lo || mine.hi != histogram.hi) {
+        mine.lo != histogram.lo || mine.hi != histogram.hi ||
+        mine.scale != histogram.scale) {
       // Incompatible bounds cannot fold bin-by-bin; keep the moments (which
       // merge exactly regardless) and drop the other's bins into dropped so
       // totals stay conserved.
@@ -133,6 +136,9 @@ std::string Snapshot::to_json() const {
     line = "{";
     jsonl::append_f64(line, "lo", histogram.lo);
     jsonl::append_f64(line, "hi", histogram.hi);
+    jsonl::append_str(line, "scale",
+                      histogram.scale == Histogram::Scale::kLog ? "log"
+                                                                : "linear");
     jsonl::append_key(line, "bins");
     line += '[';
     for (std::size_t b = 0; b < histogram.bin_counts.size(); ++b) {

@@ -59,8 +59,9 @@ class Gauge {
 /// mutex so snapshots are internally consistent.
 class LatencyHistogram {
  public:
-  LatencyHistogram(f64 lo, f64 hi, std::size_t bins)
-      : histogram_(lo, hi, bins) {}
+  LatencyHistogram(f64 lo, f64 hi, std::size_t bins,
+                   Histogram::Scale scale = Histogram::Scale::kLinear)
+      : histogram_(lo, hi, bins, scale) {}
 
   void observe(f64 value) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -89,6 +90,7 @@ struct Snapshot {
   struct HistogramSnapshot {
     f64 lo = 0.0;
     f64 hi = 0.0;
+    Histogram::Scale scale = Histogram::Scale::kLinear;
     std::vector<f64> bin_counts;
     f64 dropped = 0.0;
     stats::RunningStats stats;
@@ -100,7 +102,8 @@ struct Snapshot {
 
   /// Folds `other` in: counters add, gauges keep the other's value when this
   /// snapshot lacks the name (shard gauges are per-shard, last one wins
-  /// otherwise), histograms with identical bounds fold bin-by-bin.
+  /// otherwise), histograms with identical bounds and scale fold
+  /// bin-by-bin.
   void merge(const Snapshot& other);
 
   /// One pretty-printed JSON object (counters/gauges/histograms sections).
@@ -120,9 +123,10 @@ class Registry {
   /// use. References stay valid for the registry's lifetime.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// `lo`/`hi`/`bins` apply on first registration only.
-  LatencyHistogram& histogram(const std::string& name, f64 lo, f64 hi,
-                              std::size_t bins);
+  /// `lo`/`hi`/`bins`/`scale` apply on first registration only.
+  LatencyHistogram& histogram(
+      const std::string& name, f64 lo, f64 hi, std::size_t bins,
+      Histogram::Scale scale = Histogram::Scale::kLinear);
 
   [[nodiscard]] Snapshot snapshot() const;
 

@@ -3,9 +3,12 @@
 // Hooks observe and may mutate architectural state around every dynamic
 // warp instruction — the same power NVBitFI's injector has on real GPUs.
 // The fault injector, the opcode profiler, and tracing tools are all just
-// InstrumentHook implementations.
+// InstrumentHook implementations. A one-shot hook (the injector) declares
+// the single instruction it needs through trigger(); the engine then runs
+// everything else hook-free.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "common/types.h"
@@ -32,7 +35,33 @@ struct InstrContext {
   TrapKind requested_trap = TrapKind::kNone;
 };
 
+/// Where a one-shot hook does its only work in a launch: the `occurrence`-th
+/// (from 0) dynamic warp instruction whose group is in `group_mask` (bit i =
+/// InstrGroup i). Every issued instruction of a matching group counts,
+/// including one whose guard masks off every lane. An all-groups mask makes
+/// `occurrence` the instruction's absolute dynamic index.
+struct StrikeTrigger {
+  static constexpr u32 kAllGroups = (1u << kInstrGroupCount) - 1u;
+
+  u32 group_mask = kAllGroups;
+  u64 occurrence = 0;
+};
+
 /// Callback interface invoked by the simulator around every instruction.
+///
+/// A hook that declares a trigger() opts into the native strike trigger:
+/// when every attached hook declares one (and the launch is not pinned to
+/// EngineTier::kInstrumented), the engine counts matching instructions on
+/// the hook-free clean tier and delivers on_trigger_reached() plus the
+/// per-instruction callbacks for the struck instruction only. Callbacks for
+/// every other instruction are not delivered, so only a hook whose
+/// callbacks have no effect outside its struck instruction may declare a
+/// trigger, and it must report done_observing() once that instruction has
+/// executed. on_launch_begin / on_launch_end are delivered as always.
+/// The counted prefix runs on the clean tier, which fuses nothing, so a
+/// strike may land on any instruction, a threaded-tier fusion tail
+/// included; the threaded tier takes over at the first cycle boundary after
+/// the last strike, and the launch reports LaunchResult::downgraded.
 class InstrumentHook {
  public:
   virtual ~InstrumentHook() = default;
@@ -58,12 +87,23 @@ class InstrumentHook {
 
   /// True once this hook no longer needs to observe or mutate anything for
   /// the rest of the launch. When every attached hook reports done, the
-  /// engine downgrades mid-launch from the instrumented to the clean
-  /// execution path (NVBitFI's detach-after-strike optimisation); the
-  /// remaining callbacks — including on_launch_end — are still delivered.
-  /// Hooks that observe the whole launch (profiler, tracer) keep the
-  /// default.
+  /// engine downgrades mid-launch from the instrumented to the hook-free
+  /// tier (NVBitFI's detach-after-strike optimisation); per-instruction
+  /// callbacks stop, on_launch_end is still delivered. Hooks that observe
+  /// the whole launch (profiler, tracer) keep the default.
   [[nodiscard]] virtual bool done_observing() const { return false; }
+
+  /// The single instruction this hook needs to observe, or none to be
+  /// called around every instruction (profiler, tracer, site mapping). See
+  /// the class comment for the contract a declared trigger carries.
+  [[nodiscard]] virtual std::optional<StrikeTrigger> trigger() const {
+    return std::nullopt;
+  }
+
+  /// Called when the engine reaches this hook's trigger, right before the
+  /// struck instruction's on_before_instr: every matching instruction
+  /// before it ran without callbacks.
+  virtual void on_trigger_reached() {}
 };
 
 /// RAII pairing of on_launch_begin / on_launch_end around a launch: every

@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/bitutil.h"
 #include "sassim/decoded.h"
@@ -88,26 +89,39 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // single guard-mask computation with a fast path for unguarded (@PT)
 // instructions. The Threaded instantiation replaces Clean's opcode switch
 // with direct dispatch on the predecoded handler ids (exec_threaded.h) —
-// same scheduler, same accounting, bit-identical observables.
+// same scheduler, same accounting, bit-identical observables. The Triggered
+// instantiation is the native strike trigger: Clean execution plus a
+// per-hook countdown, with the one instruction that exhausts a countdown
+// run instrumented. It counts on Clean, not Threaded, because the threaded
+// tier's fusion heads precompute their tail's work, and a strike landing on
+// a fused tail would then re-run or skip work the head already did.
 
 struct CleanPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kThreaded = false;
+  static constexpr bool kTriggered = false;
 };
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
   static constexpr bool kThreaded = false;
+  static constexpr bool kTriggered = false;
 };
 struct ThreadedPolicy {
   static constexpr bool kInstrumented = false;
   static constexpr bool kThreaded = true;
+  static constexpr bool kTriggered = false;
+};
+struct TriggeredPolicy {
+  static constexpr bool kInstrumented = false;
+  static constexpr bool kThreaded = false;
+  static constexpr bool kTriggered = true;
 };
 
 /// How one engine run over the launch state ended.
 enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< all hooks done observing: continue on the clean path
+  kDowngraded,  ///< all hooks done observing: continue on the hook-free tier
 };
 
 }  // namespace
@@ -163,6 +177,23 @@ struct Simulator::Engine {
   u64 cycle = 0;
   Trap trap;
 
+  /// Hooks the instrumented path calls: all of opts.hooks, or on the
+  /// triggered path just the hooks the current instruction strikes.
+  std::span<InstrumentHook* const> hooks;
+  /// Dynamic warp instructions executed through exec_instr<Instrumented>.
+  u64 instrumented_warp = 0;
+
+  /// One hook's strike countdown (TriggeredPolicy). `group_mask` is zeroed
+  /// once the hook's struck instruction has issued.
+  struct Countdown {
+    InstrumentHook* hook = nullptr;
+    u32 group_mask = 0;
+    u64 left = 0;  ///< matching instructions still to pass before the strike
+  };
+  std::vector<Countdown> countdowns;
+  u32 armed_groups = 0;  ///< union of the countdowns' group masks
+  std::vector<InstrumentHook*> struck;
+
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
          std::span<const u64> params_in, const LaunchOptions& opts_in)
@@ -173,7 +204,25 @@ struct Simulator::Engine {
         grid(grid_in),
         block(block_in),
         params(params_in),
-        opts(opts_in) {}
+        opts(opts_in),
+        hooks(opts_in.hooks) {}
+
+  /// Arms one countdown per hook from its trigger(). False (nothing armed)
+  /// unless every attached hook declares a trigger.
+  bool arm_triggers() {
+    for (InstrumentHook* hook : opts.hooks) {
+      const std::optional<StrikeTrigger> t = hook->trigger();
+      if (!t) {
+        countdowns.clear();
+        armed_groups = 0;
+        return false;
+      }
+      const u32 mask = t->group_mask & StrikeTrigger::kAllGroups;
+      countdowns.push_back({hook, mask, t->occurrence});
+      armed_groups |= mask;
+    }
+    return true;
+  }
 
   // ---- CTA lifecycle ------------------------------------------------------
 
@@ -304,7 +353,7 @@ struct Simulator::Engine {
       dyn_thread += static_cast<u64>(std::popcount(ctx.exec_mask));
       if (opts.profile) count_profile(instr, ctx.exec_mask);
 
-      for (InstrumentHook* hook : opts.hooks) {
+      for (InstrumentHook* hook : hooks) {
         hook->on_before_instr(ctx);
         if (ctx.requested_trap != TrapKind::kNone) {
           return fire(ctx.requested_trap, cta, warp);
@@ -318,7 +367,7 @@ struct Simulator::Engine {
       TrapKind result = dispatch<Policy>(cta, warp, instr, exec, &ctx);
       if (result != TrapKind::kNone) return result;
 
-      for (InstrumentHook* hook : opts.hooks) {
+      for (InstrumentHook* hook : hooks) {
         hook->on_after_instr(ctx);
         if (ctx.requested_trap != TrapKind::kNone) {
           return fire(ctx.requested_trap, cta, warp);
@@ -343,6 +392,36 @@ struct Simulator::Engine {
       if (opts.profile) count_profile(instr, exec);
       return dispatch<Policy>(cta, warp, instr, exec, nullptr);
     }
+  }
+
+  /// TriggeredPolicy's issue step. Counts the instruction against every
+  /// armed countdown whose mask holds its group; the instruction that
+  /// exhausts one runs instrumented with just the hooks it strikes attached,
+  /// every other instruction runs clean.
+  TrapKind exec_triggered(Cta& cta, WarpState& warp,
+                          const DecodedInstr& instr) {
+    const u32 bit = 1u << static_cast<u32>(instr.group);
+    if ((armed_groups & bit) == 0) {
+      return exec_instr<CleanPolicy>(cta, warp, instr);
+    }
+    struck.clear();
+    armed_groups = 0;
+    for (Countdown& c : countdowns) {
+      if ((c.group_mask & bit) != 0) {
+        if (c.left == 0) {
+          struck.push_back(c.hook);
+          c.group_mask = 0;
+        } else {
+          --c.left;
+        }
+      }
+      armed_groups |= c.group_mask;
+    }
+    if (struck.empty()) return exec_instr<CleanPolicy>(cta, warp, instr);
+    for (InstrumentHook* hook : struck) hook->on_trigger_reached();
+    hooks = struck;
+    ++instrumented_warp;
+    return exec_instr<InstrumentedPolicy>(cta, warp, instr);
   }
 
   /// Non-template entry into the generic clean dispatcher for the threaded
@@ -754,7 +833,7 @@ struct Simulator::Engine {
           if (instr.src[1].is_imm()) addr += instr.src[1].imm;
           if constexpr (Policy::kInstrumented) {
             if (instr.op == Opcode::kStg) {
-              for (InstrumentHook* hook : opts.hooks) {
+              for (InstrumentHook* hook : hooks) {
                 addr = hook->transform_store_address(addr, *ctx, lane);
               }
             }
@@ -1085,6 +1164,11 @@ struct Simulator::Engine {
           if (all_done) return RunExit::kDowngraded;
         }
       }
+      if constexpr (Policy::kTriggered) {
+        // Every countdown has struck: the hooks are inert (the trigger
+        // contract), so the rest of the launch runs on the hook-free tier.
+        if (armed_groups == 0) return RunExit::kDowngraded;
+      }
 
       bool issued_any = false;
 
@@ -1118,7 +1202,12 @@ struct Simulator::Engine {
             }
             const DecodedInstr& di = dec.at(warp.pc);
             const Opcode op = di.op;
-            const TrapKind trapped = exec_instr<Policy>(*cta, warp, di);
+            TrapKind trapped;
+            if constexpr (Policy::kTriggered) {
+              trapped = exec_triggered(*cta, warp, di);
+            } else {
+              trapped = exec_instr<Policy>(*cta, warp, di);
+            }
             issued_any = true;
             --budget;
             if (trapped != TrapKind::kNone) return RunExit::kTrapped;
@@ -1240,38 +1329,51 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
 
-  // Tier selection: hooks (or an explicit kInstrumented pin) take the
-  // instrumented engine; hook-free execution — golden runs included — runs
-  // the threaded tier unless pinned to clean. An instrumented run whose
-  // hooks all finish observing resumes hook-free from the identical launch
-  // state, landing on the same tier a hook-free launch would have used.
+  // Tier selection. Hook-free launches — golden runs included — run the
+  // threaded tier unless pinned to clean. Hooked launches whose hooks all
+  // declare a strike trigger count down to the strike on the clean tier,
+  // run only the struck instruction(s) instrumented, then downgrade. Other
+  // hooked launches (and an explicit kInstrumented pin, which never
+  // triggers or downgrades) run instrumented; once every hook is done
+  // observing, they too resume hook-free from the identical launch state.
   // All tiers are bit-identical in every architecturally observable way.
-  RunExit exit;
-  EngineTier tier_used;
-  bool downgraded = false;
   const bool pin_clean = options.engine == EngineTier::kClean;
-  if (!options.hooks.empty() || options.engine == EngineTier::kInstrumented) {
-    exit = engine.run<InstrumentedPolicy>();
-    tier_used = EngineTier::kInstrumented;
+  const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
+  const EngineTier hook_free =
+      pin_clean ? EngineTier::kClean : EngineTier::kThreaded;
+  auto run_hook_free = [&] {
+    if (pin_clean) {
+      engine.run<CleanPolicy>();
+    } else {
+      engine.run<ThreadedPolicy>();
+    }
+  };
+  EngineTier tier_used = hook_free;
+  bool downgraded = false;
+  if (options.hooks.empty() && !pin_instrumented) {
+    run_hook_free();
+  } else {
+    RunExit exit;
+    if (!pin_instrumented && engine.arm_triggers()) {
+      exit = engine.run<TriggeredPolicy>();
+      tier_used = EngineTier::kClean;
+    } else {
+      exit = engine.run<InstrumentedPolicy>();
+      engine.instrumented_warp = engine.dyn_warp;
+      tier_used = EngineTier::kInstrumented;
+    }
     if (exit == RunExit::kDowngraded) {
       downgraded = true;
-      exit = pin_clean ? engine.run<CleanPolicy>()
-                       : engine.run<ThreadedPolicy>();
-      tier_used = pin_clean ? EngineTier::kClean : EngineTier::kThreaded;
+      run_hook_free();
+      tier_used = hook_free;
     }
-  } else if (pin_clean) {
-    exit = engine.run<CleanPolicy>();
-    tier_used = EngineTier::kClean;
-  } else {
-    exit = engine.run<ThreadedPolicy>();
-    tier_used = EngineTier::kThreaded;
   }
-  (void)exit;
 
   LaunchResult result;
   result.trap = engine.trap;
   result.dyn_warp_instrs = engine.dyn_warp;
   result.dyn_thread_instrs = engine.dyn_thread;
+  result.instrumented_warp_instrs = engine.instrumented_warp;
   result.cycles = engine.cycle;
   result.ecc = memory_.counters();
   result.tier_used = tier_used;

@@ -25,12 +25,13 @@ namespace gfi::sim {
 
 struct Profile;
 
-/// Execution tier the engine runs a launch on. Hooked launches always need
-/// the instrumented template; the tier choice governs what hook-free
-/// execution (including the post-downgrade remainder of a hooked launch)
-/// runs on. All tiers are bit-identical in every architecturally observable
-/// way — results, traps, cycles, dynamic-instruction counts, journals —
-/// differing only in speed.
+/// Execution tier the engine runs a launch on. Hooked launches run the
+/// instrumented template, except that the native strike trigger (see
+/// InstrumentHook::trigger) runs all but the struck instruction clean; the
+/// tier choice governs what hook-free execution (including the
+/// post-downgrade remainder of a hooked launch) runs on. All tiers are
+/// bit-identical in every architecturally observable way — results, traps,
+/// cycles, dynamic-instruction counts, journals — differing only in speed.
 enum class EngineTier : u8 {
   kAuto,          ///< fastest correct tier: threaded when hook-free
   kInstrumented,  ///< always the instrumented template (no downgrade)
@@ -55,9 +56,9 @@ struct LaunchOptions {
   /// Abort with kWatchdogTimeout after this many dynamic warp instructions.
   /// 0 selects the default (256M).
   u64 watchdog_instrs = 0;
-  /// Instrumentation hooks, invoked in order around every instruction.
-  /// A launch with no hooks runs on the clean (uninstrumented) execution
-  /// path; any hook selects the instrumented path.
+  /// Instrumentation hooks, invoked in order around every instruction (or,
+  /// when every hook declares a strike trigger, around its struck
+  /// instruction only). A launch with no hooks runs hook-free.
   std::vector<InstrumentHook*> hooks;
   /// When set, the engine accumulates a dynamic-instruction Profile here
   /// natively — no ProfilerHook needed, so a profile-only launch still
@@ -65,10 +66,12 @@ struct LaunchOptions {
   Profile* profile = nullptr;
   /// Dispatch-tier selection (replaces the old bool force_instrumented).
   /// kAuto picks the fastest correct tier per launch: threaded when
-  /// hook-free, instrumented while hooks observe, threaded again after a
-  /// mid-launch downgrade. kInstrumented pins the exact pre-refactor inner
-  /// loop (context construction, double guard-mask computation, hook walks)
-  /// and never downgrades — benchmark/equivalence baseline. kClean and
+  /// hook-free, clean up to a strike trigger, instrumented while hooks
+  /// without a trigger observe, threaded again after a mid-launch
+  /// downgrade. kInstrumented pins the exact pre-refactor inner loop
+  /// (context construction, double guard-mask computation, hook walks),
+  /// never honours a trigger and never downgrades — benchmark/equivalence
+  /// baseline. kClean and
   /// kThreaded pin the hook-free side to one implementation for debugging
   /// and tier-equivalence testing.
   EngineTier engine = EngineTier::kAuto;
@@ -79,13 +82,22 @@ struct LaunchResult {
   Trap trap;  ///< fired() when the launch aborted (DUE/hang)
   u64 dyn_warp_instrs = 0;    ///< dynamic warp instructions executed
   u64 dyn_thread_instrs = 0;  ///< sum of active lanes over those
+  /// Those of dyn_warp_instrs executed on the instrumented tier: the struck
+  /// instruction(s) of a triggered launch (0 if never reached), the prefix
+  /// up to the downgrade of an untriggered hooked launch, all of them under
+  /// EngineTier::kInstrumented, 0 for a hook-free launch.
+  u64 instrumented_warp_instrs = 0;
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
   /// Concrete tier the launch finished on (never kAuto); after a mid-launch
-  /// downgrade this is the tier the remainder ran on.
+  /// downgrade this is the tier the remainder ran on. A triggered launch
+  /// that ends before its downgrade reports kClean, the tier it counted on.
   EngineTier tier_used = EngineTier::kClean;
-  /// True when an instrumented launch downgraded mid-run because every hook
-  /// finished observing.
+  /// True when a hooked launch resumed hook-free mid-run: every hook
+  /// finished observing, or every strike trigger's instruction executed.
+  /// A triggered launch therefore reports true exactly when the
+  /// instrumented reference would have downgraded (the strike was reached
+  /// and work remained at the next cycle boundary).
   bool downgraded = false;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }

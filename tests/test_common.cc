@@ -390,6 +390,26 @@ TEST(Histogram, BinEdges) {
   EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
 }
 
+TEST(Histogram, LogScaleBinsAreEqualRatios) {
+  Histogram h(0.01, 10000.0, 60, Histogram::Scale::kLog);  // 10 per decade
+  EXPECT_EQ(h.scale(), Histogram::Scale::kLog);
+  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.01);
+  EXPECT_DOUBLE_EQ(h.bin_hi(59), 10000.0);
+  EXPECT_NEAR(h.bin_lo(10), 0.1, 1e-12);
+  EXPECT_NEAR(h.bin_lo(30), 10.0, 1e-9);
+  h.add(0.05);   // 0.70 decades above lo -> bin 6
+  h.add(5.0);    // 2.70 decades -> bin 26
+  h.add(0.0);    // non-positive clamps to bin 0
+  h.add(-3.0);
+  h.add(1e9);    // clamps to the last bin
+  h.add(std::numeric_limits<f64>::infinity());
+  EXPECT_EQ(h.count(6), 1.0);
+  EXPECT_EQ(h.count(26), 1.0);
+  EXPECT_EQ(h.count(0), 2.0);
+  EXPECT_EQ(h.count(59), 2.0);
+  EXPECT_EQ(h.total(), 6.0);
+}
+
 TEST(Histogram, NanSamplesAreDroppedNotBinned) {
   Histogram h(0.0, 10.0, 10);
   h.add(std::nan(""), 2.0);

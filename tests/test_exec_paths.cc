@@ -3,15 +3,20 @@
 // launches must safely share one Program's decode cache (lowering included),
 // the mid-launch downgrade must land on the threaded tier without perturbing
 // results, pending faults must route the threaded tier onto the checked
-// paths, and the hook contract (invocation order, launch_end on every exit
-// path) is pinned here.
+// paths, the native strike trigger must reproduce the pinned instrumented
+// tier for every injection mode, and the hook contract (invocation order,
+// launch_end on every exit path, trigger delivery) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fi/fault_model.h"
+#include "fi/injector.h"
 #include "sassim/defuse.h"
 #include "sassim/profiler.h"
 #include "sassim/tracer.h"
@@ -59,10 +64,11 @@ bool identical(const RunOutput& a, const RunOutput& b) {
 /// Runs `workload_name` on a fresh device and returns the full output.
 RunOutput run_workload(const std::string& workload_name,
                        const sim::Program* shared_program,
-                       const LaunchOptions& options) {
+                       const LaunchOptions& options,
+                       const sim::MachineConfig& machine = arch::toy()) {
   auto workload = wl::make_workload(workload_name);
   EXPECT_NE(workload, nullptr) << workload_name;
-  Device device(arch::toy());
+  Device device(machine);
   auto spec = workload->setup(device);
   EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
   const sim::Program& program =
@@ -325,6 +331,329 @@ TEST(ExecPaths, LaunchEndFiresOnTrapExit) {
   EXPECT_EQ(log.front(), "r:begin");
   EXPECT_EQ(log.back(), "r:end");
   EXPECT_EQ(std::count(log.begin(), log.end(), "r:end"), 1);
+}
+
+// ------------------------------------------------------- strike trigger --
+
+/// One injected launch: the run output plus what the injector reports.
+struct InjectedOutput {
+  RunOutput run;
+  fi::InjectionEffect effect;
+};
+
+bool same_effect(const fi::InjectionEffect& a, const fi::InjectionEffect& b) {
+  return a.activated == b.activated &&
+         a.corrected_by_ecc == b.corrected_by_ecc &&
+         a.struck_dyn_index == b.struck_dyn_index &&
+         a.struck_opcode == b.struck_opcode &&
+         a.struck_group == b.struck_group && a.struck_lane == b.struck_lane;
+}
+
+/// Runs `name` with an InjectorHook for `site` attached, plus `extra` hooks.
+InjectedOutput run_injected(const std::string& name,
+                            const sim::MachineConfig& machine,
+                            const fi::FaultSite& site, sim::EngineTier engine,
+                            u64 watchdog = 0,
+                            std::vector<sim::InstrumentHook*> extra = {}) {
+  fi::InjectorHook injector(site, machine);
+  LaunchOptions options;
+  options.engine = engine;
+  options.watchdog_instrs = watchdog;
+  options.hooks.push_back(&injector);
+  options.hooks.insert(options.hooks.end(), extra.begin(), extra.end());
+  RunOutput run = run_workload(name, nullptr, options, machine);
+  return {run, injector.effect()};
+}
+
+/// Observes a whole launch and records, per threaded-tier handler kind, its
+/// first dynamic instance: group, occurrence among that group's dynamic
+/// instructions, and dynamic index. Also counts dynamic instructions per
+/// group.
+class SiteFinderHook final : public sim::InstrumentHook {
+ public:
+  struct Site {
+    bool seen = false;
+    sim::InstrGroup group = sim::InstrGroup::kControl;
+    u64 occurrence = 0;
+    u64 dyn_index = 0;
+  };
+
+  explicit SiteFinderHook(const sim::DecodedProgram& dec) : dec_(dec) {}
+
+  void on_before_instr(sim::InstrContext& ctx) override {
+    const auto g = static_cast<std::size_t>(ctx.group);
+    Site& site =
+        first[static_cast<std::size_t>(dec_.at(ctx.warp_state->pc).handler)];
+    if (!site.seen) site = {true, ctx.group, per_group[g], ctx.dyn_index};
+    ++per_group[g];
+  }
+
+  std::array<Site, sim::kHandlerCount> first{};
+  std::array<u64, sim::kInstrGroupCount> per_group{};
+
+ private:
+  const sim::DecodedProgram& dec_;
+};
+
+TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
+  // For every workload and instruction-targeted mode: the first and last
+  // eligible occurrence, one past the end, and the first dynamic instance
+  // of every fusion head and tail the mode can strike. The default tier
+  // (trigger + threaded tail) and the clean pin (trigger + clean tail) must
+  // reproduce the pinned instrumented reference exactly.
+  using fi::InjectionMode;
+  std::set<sim::Handler> covered;
+  sim::MachineConfig machine = arch::toy();
+  machine.rf_ecc = ecc::EccMode::kDisabled;  // RF flips corrupt
+  sim::MachineConfig secded = arch::toy();
+  secded.rf_ecc = ecc::EccMode::kSecded;
+
+  auto check = [](const std::string& name, const sim::MachineConfig& config,
+                  const fi::FaultSite& site, bool reached) {
+    const InjectedOutput ref =
+        run_injected(name, config, site, sim::EngineTier::kInstrumented);
+    EXPECT_EQ(ref.run.result.instrumented_warp_instrs,
+              ref.run.result.dyn_warp_instrs);
+    for (const sim::EngineTier tier :
+         {sim::EngineTier::kAuto, sim::EngineTier::kClean}) {
+      const InjectedOutput out = run_injected(name, config, site, tier);
+      const std::string what = name + " " + site.to_string() + " tier=" +
+                               sim::engine_tier_name(tier);
+      EXPECT_TRUE(identical(ref.run, out.run)) << what;
+      EXPECT_TRUE(same_effect(ref.effect, out.effect)) << what;
+      EXPECT_EQ(out.run.result.instrumented_warp_instrs, reached ? 1u : 0u)
+          << what;
+      if (!reached) {
+        EXPECT_FALSE(out.effect.activated) << what;
+      }
+    }
+  };
+
+  for (const std::string& name : wl::workload_names()) {
+    auto workload = wl::make_workload(name);
+    ASSERT_NE(workload, nullptr) << name;
+    SiteFinderHook finder(workload->program().decoded());
+    LaunchOptions observe;
+    observe.hooks.push_back(&finder);
+    const RunOutput golden =
+        run_workload(name, &workload->program(), observe, machine);
+    ASSERT_FALSE(golden.result.trap.fired()) << name;
+    const u64 total = golden.result.dyn_warp_instrs;
+
+    for (const InjectionMode mode :
+         {InjectionMode::kIov, InjectionMode::kIoa, InjectionMode::kPred,
+          InjectionMode::kRf}) {
+      fi::FaultSite base;
+      base.model = {mode, fi::BitFlipModel::kSingle};
+      base.lane_sel = 13;
+      base.bit_sel = 7;
+      base.reg_sel = 5;
+      u64 eligible = 0;
+      for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+        if (fi::mode_targets_group(mode, static_cast<sim::InstrGroup>(g))) {
+          eligible += finder.per_group[static_cast<std::size_t>(g)];
+        }
+      }
+      std::vector<u64> occurrences = {0, eligible};
+      if (eligible > 1) occurrences.push_back(eligible - 1);
+      for (const u64 occurrence : occurrences) {
+        fi::FaultSite site = base;
+        site.target_occurrence = occurrence;
+        check(name, machine, site, occurrence < eligible);
+      }
+      // The fusion heads and tails are the last handler ids.
+      for (int h = static_cast<int>(sim::Handler::kCmpBraHead);
+           h < sim::kHandlerCount; ++h) {
+        const auto handler = static_cast<sim::Handler>(h);
+        const SiteFinderHook::Site& first =
+            finder.first[static_cast<std::size_t>(h)];
+        if (!first.seen) continue;
+        fi::FaultSite site = base;
+        if (mode == InjectionMode::kRf) {
+          site.target_occurrence = first.dyn_index;
+        } else if (fi::mode_targets_group(mode, first.group)) {
+          site.group = first.group;
+          site.target_occurrence = first.occurrence;
+        } else {
+          continue;
+        }
+        covered.insert(handler);
+        check(name, machine, site, true);
+      }
+    }
+
+    // RF under SECDED: a single flip is corrected, a double flip requests
+    // a trap from inside the struck instruction's on_before_instr.
+    for (const fi::BitFlipModel flip :
+         {fi::BitFlipModel::kSingle, fi::BitFlipModel::kDouble}) {
+      fi::FaultSite site;
+      site.model = {InjectionMode::kRf, flip};
+      site.lane_sel = 3;
+      site.bit_sel = 11;
+      site.bit_sel2 = 12;
+      site.target_occurrence = total / 2;
+      check(name, secded, site, true);
+      if (flip == fi::BitFlipModel::kDouble) {
+        const InjectedOutput out =
+            run_injected(name, secded, site, sim::EngineTier::kAuto);
+        EXPECT_EQ(out.run.result.trap.kind, TrapKind::kEccDoubleBit) << name;
+      }
+    }
+  }
+  for (const sim::Handler tail :
+       {sim::Handler::kBraFusedTail, sim::Handler::kLdgFusedTail,
+        sim::Handler::kStgFusedTail, sim::Handler::kFFmaChainTail}) {
+    EXPECT_TRUE(covered.count(tail)) << "no site on handler "
+                                     << static_cast<int>(tail);
+  }
+}
+
+TEST(ExecPaths, InjectorWithObservingHookTakesInstrumentedPath) {
+  // A profiler or tracer has no trigger, so the launch stays fully
+  // instrumented: every instruction reaches every hook, and results still
+  // match the injector-only reference.
+  const sim::MachineConfig machine = arch::toy();
+  fi::FaultSite site;
+  site.model = {fi::InjectionMode::kIov, fi::BitFlipModel::kSingle};
+  site.target_occurrence = 500;
+  site.bit_sel = 30;
+  const InjectedOutput ref =
+      run_injected("gemm", machine, site, sim::EngineTier::kInstrumented);
+  ASSERT_TRUE(ref.effect.activated);
+
+  sim::ProfilerHook profiler;
+  const InjectedOutput profiled = run_injected(
+      "gemm", machine, site, sim::EngineTier::kAuto, 0, {&profiler});
+  sim::TracerHook tracer(/*max_entries=*/1);
+  const InjectedOutput traced = run_injected(
+      "gemm", machine, site, sim::EngineTier::kAuto, 0, {&tracer});
+  for (const InjectedOutput* out : {&profiled, &traced}) {
+    EXPECT_TRUE(identical(ref.run, out->run));
+    EXPECT_TRUE(same_effect(ref.effect, out->effect));
+    EXPECT_EQ(out->run.result.tier_used, sim::EngineTier::kInstrumented);
+    EXPECT_FALSE(out->run.result.downgraded);
+    EXPECT_EQ(out->run.result.instrumented_warp_instrs,
+              out->run.result.dyn_warp_instrs);
+  }
+  EXPECT_EQ(profiler.profile().total_warp_instrs,
+            profiled.run.result.dyn_warp_instrs);
+  EXPECT_EQ(tracer.seen(), traced.run.result.dyn_warp_instrs);
+}
+
+TEST(ExecPaths, WatchdogBeforeTriggerMatchesInstrumented) {
+  // The watchdog fires in the counted prefix, before the strike: same trap,
+  // same dynamic count, nothing instrumented, site never reached.
+  const sim::MachineConfig machine = arch::toy();
+  LaunchOptions plain;
+  const u64 total =
+      run_workload("gemm", nullptr, plain, machine).result.dyn_warp_instrs;
+  fi::FaultSite site;
+  site.model = {fi::InjectionMode::kRf, fi::BitFlipModel::kSingle};
+  site.target_occurrence = total - 1;
+  const u64 watchdog = total / 2;
+  const InjectedOutput ref = run_injected(
+      "gemm", machine, site, sim::EngineTier::kInstrumented, watchdog);
+  const InjectedOutput out =
+      run_injected("gemm", machine, site, sim::EngineTier::kAuto, watchdog);
+  EXPECT_EQ(ref.run.result.trap.kind, TrapKind::kWatchdogTimeout);
+  EXPECT_TRUE(identical(ref.run, out.run));
+  EXPECT_TRUE(same_effect(ref.effect, out.effect));
+  EXPECT_EQ(out.run.result.dyn_warp_instrs, watchdog);
+  EXPECT_EQ(out.run.result.instrumented_warp_instrs, 0u);
+  EXPECT_FALSE(out.effect.activated);
+}
+
+/// Declares a trigger at absolute dynamic index `occurrence` and logs every
+/// callback it receives; optionally requests `trap` at its strike.
+class TriggerLogHook final : public sim::InstrumentHook {
+ public:
+  TriggerLogHook(std::vector<std::string>* log, std::string id,
+                 u64 occurrence, TrapKind trap = TrapKind::kNone)
+      : log_(log), id_(std::move(id)), occurrence_(occurrence), trap_(trap) {}
+
+  void on_launch_begin(const sim::Program&) override {
+    log_->push_back(id_ + ":begin");
+  }
+  void on_launch_end() override { log_->push_back(id_ + ":end"); }
+  [[nodiscard]] std::optional<sim::StrikeTrigger> trigger() const override {
+    sim::StrikeTrigger t;
+    t.occurrence = occurrence_;
+    return t;
+  }
+  void on_trigger_reached() override { log_->push_back(id_ + ":reached"); }
+  void on_before_instr(sim::InstrContext& ctx) override {
+    log_->push_back(id_ + ":before@" + std::to_string(ctx.dyn_index));
+    ctx.requested_trap = trap_;
+  }
+  void on_after_instr(sim::InstrContext& ctx) override {
+    log_->push_back(id_ + ":after@" + std::to_string(ctx.dyn_index));
+    struck_ = true;
+  }
+  [[nodiscard]] bool done_observing() const override { return struck_; }
+
+ private:
+  std::vector<std::string>* log_;
+  std::string id_;
+  u64 occurrence_;
+  TrapKind trap_;
+  bool struck_ = false;
+};
+
+/// Six dynamic instructions on one warp: five MOVs and EXIT.
+LaunchResult run_six(const std::vector<sim::InstrumentHook*>& hooks) {
+  KernelBuilder b("six");
+  for (int i = 0; i < 5; ++i) b.mov_u32(10, Operand::imm_u(1));
+  b.exit_();
+  auto program = must(b);
+  Device device(arch::toy());
+  LaunchOptions options;
+  options.hooks = hooks;
+  auto launch = device.launch(program, Dim3(1), Dim3(32), {{0}}, options);
+  EXPECT_TRUE(launch.is_ok());
+  return launch.value();
+}
+
+TEST(ExecPaths, TriggerDeliversOnlyTheStruckInstruction) {
+  // Two triggered hooks: each gets its own struck instruction's callbacks
+  // and nothing else, in registration order, inside one begin/end pair.
+  std::vector<std::string> log;
+  TriggerLogHook a(&log, "a", 1);
+  TriggerLogHook b(&log, "b", 3);
+  const LaunchResult result = run_six({&a, &b});
+  EXPECT_FALSE(result.trap.fired());
+  EXPECT_EQ(result.dyn_warp_instrs, 6u);
+  EXPECT_EQ(result.instrumented_warp_instrs, 2u);
+  const std::vector<std::string> expected = {
+      "a:begin", "b:begin",                    // launch start
+      "a:reached", "a:before@1", "a:after@1",  // a's strike
+      "b:reached", "b:before@3", "b:after@3",  // b's strike
+      "a:end", "b:end",                        // launch end
+  };
+  EXPECT_EQ(log, expected);
+}
+
+TEST(ExecPaths, TriggeredLaunchScopePairsBeginEndOnEveryExit) {
+  // Struck instruction traps: begin and end still delivered exactly once.
+  std::vector<std::string> log;
+  TriggerLogHook trapper(&log, "t", 2, TrapKind::kEccDoubleBit);
+  const LaunchResult trapped = run_six({&trapper});
+  EXPECT_EQ(trapped.trap.kind, TrapKind::kEccDoubleBit);
+  EXPECT_EQ(trapped.dyn_warp_instrs, 3u);
+  EXPECT_EQ(trapped.instrumented_warp_instrs, 1u);
+  EXPECT_FALSE(trapped.downgraded);
+  const std::vector<std::string> expected_trap = {
+      "t:begin", "t:reached", "t:before@2", "t:end"};
+  EXPECT_EQ(log, expected_trap);
+
+  // Trigger never reached: only begin and end, the launch runs hook-free.
+  log.clear();
+  TriggerLogHook never(&log, "n", 100);
+  const LaunchResult unreached = run_six({&never});
+  EXPECT_FALSE(unreached.trap.fired());
+  EXPECT_EQ(unreached.instrumented_warp_instrs, 0u);
+  EXPECT_FALSE(unreached.downgraded);
+  const std::vector<std::string> expected_never = {"n:begin", "n:end"};
+  EXPECT_EQ(log, expected_never);
 }
 
 TEST(ExecPaths, DecodedProgramAgreesWithInstructionStream) {

@@ -155,6 +155,49 @@ TEST(ObsSnapshot, MergeWithMismatchedBoundsConservesTotals) {
   EXPECT_EQ(hist.stats.count(), 2u);
 }
 
+TEST(ObsSnapshot, LogScaleHistogramRoundTripsThroughSnapshotAndMerge) {
+  // The campaign latency histogram's shape: 0.01 ms .. 10 s, 10 bins per
+  // decade. The snapshot must carry the scale and exact edges, and merge
+  // must fold equal log histograms bin-by-bin.
+  const auto log = Histogram::Scale::kLog;
+  Registry a;
+  Registry b;
+  a.histogram("lat", 0.01, 10000.0, 60, log).observe(0.05);  // bin 6
+  a.histogram("lat", 0.01, 10000.0, 60, log).observe(5.0);   // bin 26
+  b.histogram("lat", 0.01, 10000.0, 60, log).observe(5.0);
+  b.histogram("lat", 0.01, 10000.0, 60, log).observe(2000.0);  // bin 53
+
+  const Snapshot snap_a = a.snapshot();
+  const auto& ha = snap_a.histograms.at("lat");
+  EXPECT_EQ(ha.scale, log);
+  EXPECT_DOUBLE_EQ(ha.lo, 0.01);
+  EXPECT_DOUBLE_EQ(ha.hi, 10000.0);
+  ASSERT_EQ(ha.bin_counts.size(), 60u);
+  EXPECT_EQ(ha.bin_counts[6], 1.0);
+  EXPECT_EQ(ha.bin_counts[26], 1.0);
+  EXPECT_NE(snap_a.to_json().find("\"scale\":\"log\""), std::string::npos);
+
+  Snapshot merged = snap_a;
+  merged.merge(b.snapshot());
+  const auto& hm = merged.histograms.at("lat");
+  EXPECT_EQ(hm.scale, log);
+  EXPECT_EQ(hm.bin_counts[6], 1.0);
+  EXPECT_EQ(hm.bin_counts[26], 2.0);
+  EXPECT_EQ(hm.bin_counts[53], 1.0);
+  EXPECT_EQ(hm.dropped, 0.0);
+  EXPECT_EQ(hm.stats.count(), 4u);
+
+  // Same bounds and bin count but linear edges: bins cannot fold.
+  Registry linear;
+  linear.histogram("lat", 0.01, 10000.0, 60).observe(5.0);
+  Snapshot mixed = snap_a;
+  mixed.merge(linear.snapshot());
+  const auto& hx = mixed.histograms.at("lat");
+  EXPECT_EQ(hx.dropped, 1.0);
+  EXPECT_EQ(hx.bin_counts[26], 1.0);
+  EXPECT_EQ(hx.stats.count(), 3u);
+}
+
 TEST(ObsSnapshot, ToJsonIsWellFormedAndHandlesNonFinite) {
   Registry registry;
   registry.counter("c").inc(2);
@@ -391,6 +434,48 @@ TEST(ObsCampaign, MetricsMatchResultAndJournalCounts) {
   for (int o = 0; o < fi::kOutcomeCount; ++o) {
     EXPECT_EQ(beat.value().outcome_counts[static_cast<std::size_t>(o)],
               result.value().outcome_counts[static_cast<std::size_t>(o)]);
+  }
+}
+
+TEST(ObsCampaign, TierInstructionCountersSumToJournalDyn) {
+  // Per-tier dynamic instruction counters partition exactly what the
+  // journal records as `dyn`. On the default tier the native strike
+  // trigger runs one instruction per reached site instrumented; pinned to
+  // kInstrumented, every instruction is.
+  for (const sim::EngineTier engine :
+       {sim::EngineTier::kAuto, sim::EngineTier::kInstrumented}) {
+    const fs::path dir = scratch_dir("tier_dyn");
+    Registry registry;
+    auto config = base_config("gemm");
+    config.engine = engine;
+    config.journal_path = (dir / "c.jsonl").string();
+    config.metrics = &registry;
+    config.heartbeat_interval_ms = 0;
+    auto result = Campaign::run(config);
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+
+    auto journal = fi::Journal::load(*config.journal_path);
+    ASSERT_TRUE(journal.is_ok());
+    u64 dyn = 0;
+    u64 activated = 0;
+    for (const auto& [index, record] : journal.value().records) {
+      dyn += record.dyn_instrs;
+      if (record.effect.activated) ++activated;
+    }
+    const Snapshot snap = registry.snapshot();
+    const u64 instrumented =
+        snap.counters.at("engine.dispatch.instrumented_winstrs");
+    const u64 fast = snap.counters.at("engine.dispatch.fast_winstrs");
+    EXPECT_EQ(instrumented + fast, dyn) << sim::engine_tier_name(engine);
+    EXPECT_EQ(snap.counters.count("campaign.path.instrumented"), 0u);
+    if (engine == sim::EngineTier::kInstrumented) {
+      EXPECT_EQ(fast, 0u);
+    } else {
+      // One struck instruction per launch that reached its site.
+      EXPECT_GE(instrumented, activated);
+      EXPECT_LE(instrumented, config.num_injections);
+      EXPECT_GT(fast, instrumented);
+    }
   }
 }
 
