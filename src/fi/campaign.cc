@@ -15,6 +15,7 @@
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
 #include "fi/planner.h"
+#include "fi/wake.h"
 #include "obs/heartbeat.h"
 #include "obs/registry.h"
 #include "recover/retry.h"
@@ -777,8 +778,12 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       effective = std::min<u64>(effective, *journaled_stop);
     }
 
-    // Polls the plan file until the supervisor publishes what block `c`
-    // needs: its allocation, or a stop at/before its start.
+    // The supervisor's wake channel (follow mode under `gpufi run` only).
+    const int wake_fd = follow ? config.planner.wake_fd : -1;
+
+    // Waits until the supervisor publishes what block `c` needs: its
+    // allocation, or a stop at/before its start. The plan file is re-read on
+    // every wake; the wake byte itself says nothing.
     auto wait_for_plan = [&](u64 c, u64 b0) -> Result<PlanEvent> {
       const auto deadline =
           std::chrono::steady_clock::now() +
@@ -808,7 +813,14 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
         // Keep the heartbeat fresh while parked, so the supervisor's stall
         // detector does not mistake waiting for a hang.
         if (heartbeat) heartbeat->idle_beat();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (wake_fd < 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        } else if (!wake::wait(wake_fd, 50)) {
+          return Status::internal(
+              "supervisor gone: its wake channel closed while waiting for "
+              "the allocation for checkpoint " + std::to_string(c) + " in " +
+              *config.planner.plan_path);
+        }
       }
     };
 
@@ -874,6 +886,9 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       for (const std::size_t slot : block_slots) {
         if (!errors[slot].is_ok()) return errors[slot];
       }
+      // The block's records are journaled and flushed: the supervisor may
+      // now find it complete and publish the next decision.
+      if (wake_fd >= 0) wake::send(wake_fd);
 
       if (decide) {
         // Feed the planner the completed prefix in global index order

@@ -85,6 +85,13 @@ struct PlannerConfig {
   /// deciding anything itself — sharded workers never see the full global
   /// prefix a decision needs.
   std::optional<std::string> plan_path;
+  /// A plan-following worker's end of its supervisor wake channel (an
+  /// AF_UNIX socket; -1 = none, poll the plan file on a timer). The worker
+  /// sends one byte after journaling each block and parks on the socket
+  /// until the supervisor's byte says the plan grew. The bytes carry no
+  /// data: the plan file stays the only source of truth. EOF means the
+  /// supervisor is gone.
+  int wake_fd = -1;
   /// How long a plan-following worker waits for the supervisor to publish
   /// the next checkpoint's allocation before giving up (the supervisor then
   /// relaunches it with backoff).

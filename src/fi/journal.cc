@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/jsonl.h"
@@ -101,8 +100,8 @@ Status bad_header(const std::string& why) {
 }
 
 /// Canonical planner identity for headers: all-zero when inactive, and the
-/// follow-mode plumbing (plan_path, plan_wait_ms) stripped — where the plan
-/// came from never changes what the plan is.
+/// follow-mode plumbing (plan_path, wake_fd, plan_wait_ms) stripped — where
+/// the plan came from never changes what the plan is.
 PlannerConfig normalized_planner(const PlannerConfig& pc) {
   PlannerConfig out;
   out.stop.target_half_width = 0.0;
@@ -422,66 +421,82 @@ Result<std::pair<u64, InjectionRecord>> Journal::parse_record(
 }
 
 Result<JournalContents> Journal::load(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("cannot open journal " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
+  JournalTail tail(path);
+  if (Status polled = tail.poll(); !polled.is_ok()) return polled;
+  return std::move(tail).take();
+}
 
-  JournalContents contents;
+void JournalTail::restart() {
+  if (contents_.valid_bytes > 0) ++restarts_;
+  contents_ = JournalContents{};
+  have_header_ = false;
+}
+
+Status JournalTail::poll() {
+  std::FILE* file = std::fopen(path_.c_str(), "rb");
+  if (!file) {
+    restart();  // a vanished file keeps nothing it held
+    return Status::not_found("cannot open journal " + path_);
+  }
+  const long size =
+      std::fseek(file, 0, SEEK_END) == 0 ? std::ftell(file) : -1;
+  if (size >= 0 && static_cast<u64>(size) < contents_.valid_bytes) restart();
+  const u64 start = contents_.valid_bytes;
+  std::string data;
+  if (size > static_cast<long>(start) &&
+      std::fseek(file, static_cast<long>(start), SEEK_SET) == 0) {
+    data.resize(static_cast<std::size_t>(size) - start);
+    data.resize(std::fread(data.data(), 1, data.size(), file));
+  }
+  std::fclose(file);
+  bytes_read_ += data.size();
+
   std::size_t pos = 0;
-  bool have_header = false;
   while (pos < data.size()) {
     const std::size_t newline = data.find('\n', pos);
     if (newline == std::string::npos) break;  // torn trailing record: drop
     const std::string line = data.substr(pos, newline - pos);
     if (!line.empty()) {
-      if (!have_header) {
-        auto header = parse_header(line);
+      if (!have_header_) {
+        auto header = Journal::parse_header(line);
         if (!header.is_ok()) return header.status();
-        contents.header = std::move(header).take();
-        have_header = true;
-      } else if (is_plan_line(line)) {
-        auto event = parse_plan_event(line);
-        if (!event.is_ok()) {
-          // Same torn-tail tolerance as records below.
-          if (data.find('\n', newline + 1) == std::string::npos &&
-              newline + 1 >= data.size()) {
-            break;
-          }
-          return Status::internal("journal " + path + " is corrupt: " +
-                                  event.status().message());
-        }
-        contents.plan.push_back(event.value());
+        contents_.header = std::move(header).take();
+        have_header_ = true;
       } else {
-        auto record = parse_record(line);
-        if (!record.is_ok()) {
-          // A malformed line is only tolerable as the file's torn tail.
-          if (data.find('\n', newline + 1) == std::string::npos &&
-              newline + 1 >= data.size()) {
-            break;
+        Status parsed;
+        if (is_plan_line(line)) {
+          auto event = parse_plan_event(line);
+          parsed = event.status();
+          if (event.is_ok()) contents_.plan.push_back(event.value());
+        } else {
+          auto record = Journal::parse_record(line);
+          parsed = record.status();
+          if (record.is_ok()) {
+            auto [index, value] = std::move(record).take();
+            value.site.model = {*mode_from_name(contents_.header.mode),
+                                *flip_from_name(contents_.header.flip),
+                                *persist_from_name(contents_.header.persist)};
+            contents_.records.emplace_back(index, value);
           }
-          return Status::internal("journal " + path + " is corrupt: " +
-                                  record.status().message());
         }
-        const FaultModel model{*mode_from_name(contents.header.mode),
-                               *flip_from_name(contents.header.flip),
-                               *persist_from_name(contents.header.persist)};
-        auto [index, parsed] = std::move(record).take();
-        parsed.site.model = model;
-        contents.records.emplace_back(index, parsed);
+        if (!parsed.is_ok()) {
+          // A malformed line is only tolerable as the file's torn tail.
+          if (newline + 1 == data.size()) break;
+          return Status::internal("journal " + path_ + " is corrupt: " +
+                                  parsed.message());
+        }
       }
     }
     pos = newline + 1;
-    contents.valid_bytes = pos;
+    contents_.valid_bytes = start + pos;
   }
-  if (!have_header) {
+  if (!have_header_) {
     // Distinct code: the writer died before the header line hit the disk, so
     // the file holds no data — callers may safely recreate it.
-    return Status::failed_precondition("journal " + path +
+    return Status::failed_precondition("journal " + path_ +
                                        " has no complete header line");
   }
-  return contents;
+  return Status::ok();
 }
 
 JournalWriter::~JournalWriter() {

@@ -80,7 +80,7 @@ class Journal {
  public:
   /// Loads a journal, tolerating a torn trailing record (a mid-record crash
   /// leaves a partial last line, which is dropped). A malformed line in the
-  /// middle of the file is corruption and fails.
+  /// middle of the file is corruption and fails. One JournalTail::poll().
   static Result<JournalContents> load(const std::string& path);
 
   // Serialization primitives (exposed for tests and the merge tool).
@@ -89,6 +89,43 @@ class Journal {
   static Result<JournalHeader> parse_header(const std::string& line);
   static Result<std::pair<u64, InjectionRecord>> parse_record(
       const std::string& line);
+};
+
+/// Incremental reader of a journal that is still being written (the
+/// supervisor's view of a live shard). Each poll() reads only the bytes
+/// appended since the previous one, so following a journal to its end reads
+/// it about once, where a Journal::load per poll re-reads it every time.
+///
+/// After every poll() the tail agrees with a fresh Journal::load of the
+/// file's current bytes: the same status, and on success the same header,
+/// records (file order, duplicates kept), plan events and valid_bytes. What
+/// lies past valid_bytes is never consumed and is read again next poll: a
+/// trailing partial line, and a final complete line that does not parse
+/// (the torn tail JournalWriter::open_append truncates). A file shorter than
+/// valid_bytes was truncated below what the tail consumed or replaced; the
+/// tail then starts over from byte 0.
+class JournalTail {
+ public:
+  explicit JournalTail(std::string path) : path_(std::move(path)) {}
+
+  Status poll();
+
+  [[nodiscard]] const JournalContents& contents() const { return contents_; }
+  JournalContents take() && { return std::move(contents_); }
+  /// Times the tail started over from byte 0. A consumer that remembers a
+  /// position in contents().records must start over when this changes.
+  [[nodiscard]] u64 restarts() const { return restarts_; }
+  /// Bytes read from the file over the tail's lifetime.
+  [[nodiscard]] u64 bytes_read() const { return bytes_read_; }
+
+ private:
+  void restart();
+
+  std::string path_;
+  JournalContents contents_;
+  bool have_header_ = false;
+  u64 restarts_ = 0;
+  u64 bytes_read_ = 0;
 };
 
 /// Append-only writer; one flushed line per record. Thread-safe.

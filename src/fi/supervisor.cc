@@ -2,13 +2,16 @@
 
 #ifndef _WIN32
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -17,7 +20,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <thread>
+#include <utility>
 
 #include "common/backoff.h"
 #include "common/failpoint.h"
@@ -26,6 +29,7 @@
 #include "fi/golden_cache.h"
 #include "fi/lease.h"
 #include "fi/planner.h"
+#include "fi/wake.h"
 #include "obs/heartbeat.h"
 
 namespace gfi::fi {
@@ -57,10 +61,35 @@ constexpr const char* kStateMagic = "gpufi-run-v1";
 
 enum class ShardPhase { kPending, kRunning, kDone, kFailed };
 
+/// Owns one file descriptor.
+class Fd {
+ public:
+  Fd() = default;
+  explicit Fd(int fd) : fd_(fd) {}
+  Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+  Fd& operator=(Fd&& other) noexcept {
+    reset(std::exchange(other.fd_, -1));
+    return *this;
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  ~Fd() { reset(); }
+
+  [[nodiscard]] int get() const { return fd_; }
+  void reset(int fd = -1) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = fd;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
 struct ShardState {
   u32 index = 0;
   ShardPhase phase = ShardPhase::kPending;
   pid_t pid = -1;
+  Fd wake;  ///< supervisor end of the running worker's wake channel
   u64 launched_at_ms = 0;
   u64 lease_refreshed_ms = 0;
   u64 backoff_until_ms = 0;
@@ -213,8 +242,31 @@ std::string quarantine_flag(const std::set<u64>& quarantine) {
   return flag;
 }
 
-Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
-                           const std::set<u64>& quarantine) {
+struct Spawned {
+  pid_t pid = -1;
+  Fd wake;  ///< supervisor end of the worker's wake channel (fi/wake.h)
+};
+
+Result<Spawned> spawn_worker(const SupervisorConfig& config, u32 shard,
+                             const std::set<u64>& quarantine) {
+  // Both ends close on exec, so no other child inherits them; the child
+  // clears the flag on its own end just before exec. The worker's end is
+  // kept off the stdio numbers the child redirects to its log.
+  int pair[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+    return Status::internal(std::string("socketpair failed: ") +
+                            std::strerror(errno));
+  }
+  Fd ours(pair[0]);
+  Fd theirs(pair[1]);
+  if (theirs.get() <= STDERR_FILENO) {
+    theirs.reset(::fcntl(theirs.get(), F_DUPFD_CLOEXEC, STDERR_FILENO + 1));
+    if (theirs.get() < 0) {
+      return Status::internal(std::string("fcntl failed: ") +
+                              std::strerror(errno));
+    }
+  }
+
   std::vector<std::string> argv;
   argv.push_back(config.exe);
   argv.push_back("campaign");
@@ -235,6 +287,7 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
   // supervisor's published plan file.
   if (config.campaign.planner.active()) {
     argv.push_back("--plan=" + Supervisor::plan_path(config.dir));
+    argv.push_back("--plan-wake-fd=" + std::to_string(theirs.get()));
   }
 
   const std::string log_path =
@@ -247,6 +300,7 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
   }
   if (pid == 0) {
     // Child. Only async-signal-safe-ish work before exec.
+    ::fcntl(theirs.get(), F_SETFD, 0);
     const int fd =
         ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd >= 0) {
@@ -271,7 +325,7 @@ Result<pid_t> spawn_worker(const SupervisorConfig& config, u32 shard,
                  std::strerror(errno));
     ::_exit(127);
   }
-  return pid;
+  return Spawned{pid, std::move(ours)};
 }
 
 int exit_code_of(int wait_status) {
@@ -511,6 +565,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           ::kill(shard.pid, SIGKILL);
           ::waitpid(shard.pid, nullptr, 0);
           shard.pid = -1;
+          shard.wake.reset();
         }
         shard.phase = ShardPhase::kPending;
         shard.backoff_until_ms = 0;
@@ -520,21 +575,59 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     return ensure_stop_journaled(at);
   };
 
-  // One planner step per supervision cycle: pool the shard journals into
-  // the global record sequence, advance the observed prefix in strict block
-  // order, publish the allocation each frontier block needs (workers park
-  // on exactly that line), and test the stopping rule at every completed
-  // boundary — the same decision procedure, over the same prefix, as an
-  // unsharded campaign deciding locally.
-  auto planner_tick = [&]() -> Status {
-    std::map<u64, InjectionRecord> pooled;
-    for (u32 s = 0; s < config.shards; ++s) {
-      auto loaded = Journal::load(journal_of(s));
-      if (!loaded.is_ok()) continue;  // not started yet / torn header
-      for (const auto& [index, record] : loaded.value().records) {
-        pooled.emplace(index, record);
-      }
+  // Appends a decision to the plan file, then wakes every live worker so a
+  // parked one re-reads the file now rather than at its next timeout.
+  auto publish = [&](const PlanEvent& event) -> Status {
+    if (Status appended = append_plan_event(ppath, event); !appended.is_ok()) {
+      return appended;
     }
+    for (const ShardState& shard : shards) {
+      if (shard.wake.get() >= 0) wake::send(shard.wake.get());
+    }
+    return Status::ok();
+  };
+
+  // The records the planner has yet to observe, pooled from every shard
+  // journal tailed incrementally; the first record wins on a duplicated
+  // index, as in file order.
+  std::vector<JournalTail> tails;
+  for (u32 s = 0; s < config.shards; ++s) tails.emplace_back(journal_of(s));
+  std::vector<std::size_t> pooled_upto(config.shards, 0);
+  std::vector<u64> tail_restarts(config.shards, 0);
+  std::map<u64, InjectionRecord> pooled;
+  auto pool_journals = [&] {
+    bool restarted = false;
+    result.planner_journal_bytes = 0;
+    for (u32 s = 0; s < config.shards; ++s) {
+      // A journal not started yet, without a header or corrupt adds nothing.
+      (void)tails[s].poll();
+      result.planner_journal_bytes += tails[s].bytes_read();
+      restarted |= tails[s].restarts() != tail_restarts[s];
+      tail_restarts[s] = tails[s].restarts();
+    }
+    if (restarted) {
+      pooled.clear();
+      pooled_upto.assign(config.shards, 0);
+    }
+    for (u32 s = 0; s < config.shards; ++s) {
+      const auto& records = tails[s].contents().records;
+      for (std::size_t r = pooled_upto[s]; r < records.size(); ++r) {
+        const auto& [index, record] = records[r];
+        if (index >= plan_frontier) pooled.emplace(index, record);
+      }
+      pooled_upto[s] = records.size();
+    }
+  };
+
+  // One planner step per supervision cycle: pool what the shard journals
+  // gained since the last step into the global record sequence, advance the
+  // observed prefix in strict block order, publish the allocation each
+  // frontier block needs (workers park on exactly that line), and test the
+  // stopping rule at every completed boundary — the same decision
+  // procedure, over the same prefix, as an unsharded campaign deciding
+  // locally.
+  auto planner_tick = [&]() -> Status {
+    pool_journals();
     const u64 k = planner->checkpoint_every();
     while (plan_frontier < config.num_injections) {
       const u64 c = plan_frontier / k;
@@ -544,9 +637,9 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           published_allocs.find(c) == published_allocs.end()) {
         // Publish before waiting on the block's records: no worker can
         // produce them until the allocation is visible.
-        if (Status appended = append_plan_event(ppath, planner->make_alloc(c));
-            !appended.is_ok()) {
-          return appended;
+        if (Status published = publish(planner->make_alloc(c));
+            !published.is_ok()) {
+          return published;
         }
         published_allocs.insert(c);
         log->event("plan_alloc", {{"ckpt", c}});
@@ -560,20 +653,75 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       }
       if (!block_complete) break;
       for (u64 i = b0; i < b1; ++i) planner->observe(pooled.find(i)->second);
+      pooled.erase(pooled.begin(), pooled.lower_bound(b1));
       plan_frontier = b1;
       if (config.campaign.planner.stopping() &&
           b1 < config.num_injections && planner->stop_satisfied()) {
         PlanEvent stop;
         stop.kind = PlanEvent::Kind::kStop;
         stop.stop_at = b1;
-        if (Status appended = append_plan_event(ppath, stop);
-            !appended.is_ok()) {
-          return appended;
+        if (Status published = publish(stop); !published.is_ok()) {
+          return published;
         }
         return apply_stop(b1);
       }
     }
     return Status::ok();
+  };
+
+  // When the loop body's hang check could next find `shard`'s heartbeat
+  // stale: its stall timeout after launch, then its timeout after the
+  // sidecar's last write.
+  auto stall_check_due = [&](const ShardState& shard, u64 now) {
+    const u64 armed = shard.launched_at_ms + config.stall_timeout_ms;
+    if (now < armed) return armed;
+    auto age = obs::sidecar_age_ms(
+        obs::status_path_for_journal(journal_of(shard.index)));
+    const u64 aged =
+        age.is_ok() ? std::min(age.value(), config.stall_timeout_ms)
+                    : config.stall_timeout_ms;
+    return now + config.stall_timeout_ms - aged;
+  };
+
+  // Blocks between supervision passes until a worker sends a wake byte (it
+  // journaled a block) or exits (EOF on its channel), or until the loop
+  // body's next timed duty: a lease refresh, a stall check, a backoff
+  // expiry. Foreign leases are re-tried at least once per refresh period.
+  auto wait_for_event = [&] {
+    const u64 now = unix_now_ms();
+    u64 due = now + refresh_ms;
+    std::vector<pollfd> fds;
+    std::vector<ShardState*> owners;
+    for (ShardState& shard : shards) {
+      if (shard.phase == ShardPhase::kPending &&
+          shard.backoff_until_ms > now) {
+        due = std::min(due, shard.backoff_until_ms);
+      }
+      if (shard.phase != ShardPhase::kRunning) continue;
+      due = std::min(due, shard.lease_refreshed_ms + refresh_ms);
+      if (config.stall_timeout_ms > 0) {
+        due = std::min(due, stall_check_due(shard, now));
+      }
+      if (shard.wake.get() >= 0) {
+        fds.push_back({shard.wake.get(), POLLIN, 0});
+        owners.push_back(&shard);
+      }
+    }
+    const int timeout_ms =
+        static_cast<int>(std::min<u64>(due > now ? due - now : 0, INT_MAX));
+    if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return;
+    for (std::size_t f = 0; f < fds.size(); ++f) {
+      if (fds[f].revents == 0 || wake::drain(fds[f].fd)) continue;
+      // EOF: the worker is exiting. Wait until it can be reaped, without
+      // reaping it, so the loop body's waitpid collects it on this pass.
+      ShardState& shard = *owners[f];
+      shard.wake.reset();
+      siginfo_t info{};
+      while (::waitid(P_PID, static_cast<id_t>(shard.pid), &info,
+                      WEXITED | WNOWAIT) < 0 &&
+             errno == EINTR) {
+      }
+    }
   };
 
   if (planner && plan_stop) {
@@ -601,8 +749,10 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     }
 
     u32 running = 0;
+    std::vector<ShardPhase> phases_before;
     for (const ShardState& shard : shards) {
       if (shard.phase == ShardPhase::kRunning) ++running;
+      phases_before.push_back(shard.phase);
     }
 
     bool all_settled = true;
@@ -646,7 +796,8 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
               journaled_indices(journal_of(shard.index)).size();
           auto spawned = spawn_worker(config, shard.index, quarantine);
           if (!spawned.is_ok()) return spawned.status();
-          shard.pid = spawned.value();
+          shard.pid = spawned.value().pid;
+          shard.wake = std::move(spawned.value().wake);
           shard.phase = ShardPhase::kRunning;
           shard.launched_at_ms = now;
           shard.lease_refreshed_ms = now;
@@ -698,6 +849,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
                 ++result.crashes;
                 log->event("stall_kill", {{"shard", shard.index}});
                 shard.pid = -1;
+                shard.wake.reset();
                 handle_crash(shard, 128 + SIGKILL);
               }
             }
@@ -706,11 +858,13 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           if (reaped < 0) {
             // ECHILD etc.: we lost track of the worker; treat as a crash.
             shard.pid = -1;
+            shard.wake.reset();
             ++result.crashes;
             handle_crash(shard, -1);
             break;
           }
           shard.pid = -1;
+          shard.wake.reset();
           const int code = exit_code_of(wait_status);
           if (code == 0 && shard_complete(shard.index)) {
             shard.phase = ShardPhase::kDone;
@@ -734,8 +888,20 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       if (plan_stop) continue;
     }
     if (all_settled) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(config.poll_ms));
+    // A pass that moved a shard (a reap, a launch, a crash) may have
+    // unblocked the next step — a freed worker slot, a settled fleet — so
+    // it is followed by another pass at once; only a quiet pass waits.
+    const bool moved = !std::equal(
+        phases_before.begin(), phases_before.end(), shards.begin(),
+        [](ShardPhase before, const ShardState& shard) {
+          return before == shard.phase;
+        });
+    if (!moved) wait_for_event();
   }
+
+  // The merge below loads every journal afresh; drop the planner's copy.
+  tails.clear();
+  pooled.clear();
 
   std::sort(result.quarantined.begin(), result.quarantined.end());
   log->event("run_done", {{"crashes", result.crashes},

@@ -22,6 +22,18 @@
 //     `gpufi run --resume` reconstructs the quarantine set and keeps the
 //     final auto-merge bit-identical to an uninterrupted unsharded run.
 //
+// The supervisor never sleeps on a fixed period. Each worker holds one end
+// of an AF_UNIX socketpair (fi/wake.h); the supervision loop blocks in
+// poll() on all of them, with a timeout that runs to its next timed duty (a
+// lease refresh at ttl/3, a stall check, a backoff expiry). A worker that
+// exits closes its end, so the supervisor reaps it at once. Under the
+// adaptive planner a plan-following worker sends a byte after journaling
+// each block, the supervisor tails the shard journals (fi::JournalTail,
+// each appended byte read about once) and, after appending a decision to
+// `<dir>/plan.jsonl`, sends a byte to every live worker to end its wait.
+// The bytes carry no data: journals and the plan file stay the only source
+// of truth, so a lost wake costs latency, never correctness.
+//
 // Bit-identity argument: a record's bytes are a pure function of
 // (seed, global index, quarantine set) — scheduling, retries, takeovers,
 // and resume order never enter record content, and the quarantine set is
@@ -54,7 +66,6 @@ struct SupervisorConfig {
   u64 seed = 0x5eed;
 
   u64 lease_ttl_ms = 15000;  ///< lease validity; refreshed at ttl/3
-  u64 poll_ms = 200;         ///< supervision loop period
   /// A running worker whose heartbeat sidecar has not been written for this
   /// long is presumed hung, SIGKILLed, and retried. 0 disables.
   u64 stall_timeout_ms = 30000;
@@ -96,6 +107,10 @@ struct SupervisorResult {
   /// Boundary where the sequential stopping rule halted the campaign
   /// (0 = the planner never stopped it and the full budget ran).
   u64 plan_stop = 0;
+  /// Shard-journal bytes the planner read while deciding. Journals are
+  /// tailed, so this stays near the final journal sizes however many
+  /// checkpoints the campaign passes.
+  u64 planner_journal_bytes = 0;
   /// Strict auto-merge of all shard journals; meaningful only when
   /// shards_failed == 0.
   MergedCampaign merged;

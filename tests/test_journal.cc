@@ -7,12 +7,17 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "arch/arch.h"
+#include "common/rng.h"
 #include "fi/campaign.h"
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
+#include "fi/planner.h"
 #include "sassim/kernel_builder.h"
 #include "sim_test_util.h"
 
@@ -413,6 +418,185 @@ TEST(Journal, ShardValidationRejectsBadIndices) {
   config.shard_count = 2;
   config.shard_index = 2;
   EXPECT_FALSE(Campaign::run(config).is_ok());
+}
+
+// ------------------------------------------------------- journal tail ----
+
+/// What any journal reader must make of `bytes`, worked out by a plain
+/// split into lines: a header, then the record and plan lines of the
+/// complete prefix, where only the final complete line may fail to parse.
+struct SplitJournal {
+  StatusCode code = StatusCode::kOk;
+  std::vector<std::string> records;  ///< record lines, file order
+  std::vector<std::string> plan;     ///< plan lines, file order
+  u64 valid_bytes = 0;
+};
+
+SplitJournal split_journal(const std::string& bytes) {
+  SplitJournal out;
+  bool header = false;
+  for (std::size_t pos = 0, newline;
+       (newline = bytes.find('\n', pos)) != std::string::npos;
+       pos = newline + 1) {
+    const std::string line = bytes.substr(pos, newline - pos);
+    const bool last = newline + 1 == bytes.size();
+    if (line.empty()) {
+      // Skipped, but still part of the valid prefix.
+    } else if (!header) {
+      if (!Journal::parse_header(line).is_ok()) {
+        out.code = StatusCode::kInvalidArgument;
+        return out;
+      }
+      header = true;
+    } else {
+      const bool plan = fi::is_plan_line(line);
+      const bool parses = plan ? fi::parse_plan_event(line).is_ok()
+                               : Journal::parse_record(line).is_ok();
+      if (!parses) {
+        if (last) break;
+        out.code = StatusCode::kInternal;
+        return out;
+      }
+      (plan ? out.plan : out.records).push_back(line);
+    }
+    out.valid_bytes = newline + 1;
+  }
+  if (!header) out.code = StatusCode::kFailedPrecondition;
+  return out;
+}
+
+/// Checks a reader's contents against the split, including the pooled view
+/// the supervisor builds from them (first record wins on a duplicate).
+void expect_contents(const fi::JournalContents& got, const SplitJournal& want,
+                     const std::string& context) {
+  std::vector<std::string> records;
+  std::map<u64, std::string> pooled;
+  for (const auto& [index, record] : got.records) {
+    records.push_back(Journal::record_line(index, record));
+    pooled.emplace(index, records.back());
+  }
+  std::vector<std::string> plan;
+  for (const fi::PlanEvent& event : got.plan) {
+    plan.push_back(fi::plan_event_line(event));
+  }
+  std::map<u64, std::string> want_pooled;
+  for (const std::string& line : want.records) {
+    want_pooled.emplace(Journal::parse_record(line).value().first, line);
+  }
+  EXPECT_EQ(records, want.records) << context;
+  EXPECT_EQ(pooled, want_pooled) << context;
+  EXPECT_EQ(plan, want.plan) << context;
+  EXPECT_EQ(got.valid_bytes, want.valid_bytes) << context;
+}
+
+TEST(JournalTail, AgreesWithJournalLoadAsAJournalGrowsTearsAndIsRewritten) {
+  const fs::path dir = scratch_dir("journal_tail");
+  const std::string path = (dir / "shard.jsonl").string();
+  fi::JournalHeader header;
+  header.workload = "vecadd";
+  header.arch = "toy";
+  header.mode = fi::to_string(InjectionMode::kIov);
+  header.flip = fi::to_string(BitFlipModel::kSingle);
+  header.num_injections = 1000000;
+  const std::string header_line = Journal::header_line(header) + "\n";
+
+  // A model writer. `bytes` is the file; `pending` is what the live writer
+  // has still to append, handed out in random-sized chunks so lines tear.
+  Rng rng(0x7a11);
+  auto below = [&](u64 n) { return n == 0 ? 0 : rng.next() % n; };
+  std::string bytes;
+  std::string pending;
+  bool alive = false;
+  u64 next_index = 0;
+  std::vector<std::string> written;
+  auto queue_lines = [&] {
+    for (u64 n = 1 + below(4); n > 0; --n) {
+      const u64 roll = below(10);
+      if (roll == 0) {
+        fi::PlanEvent event;
+        event.kind = below(2) == 0 ? fi::PlanEvent::Kind::kAlloc
+                                   : fi::PlanEvent::Kind::kStop;
+        event.checkpoint = below(50);
+        event.stop_at = below(5000);
+        event.alloc[below(event.alloc.size())] = below(100);
+        pending += fi::plan_event_line(event) + "\n";
+      } else if (roll == 1 && !written.empty()) {
+        pending += written[below(written.size())] + "\n";  // duplicate
+      } else {
+        InjectionRecord record;
+        record.outcome = static_cast<Outcome>(below(fi::kOutcomeCount));
+        record.dyn_instrs = below(100000);
+        record.site.bit_sel = static_cast<u32>(below(32));
+        record.site.random_value = rng.next();
+        written.push_back(Journal::record_line(next_index++, record));
+        pending += written.back() + "\n";
+      }
+    }
+  };
+
+  fi::JournalTail tail(path);
+  u64 unconsumed_steps = 0;
+  u64 corrupt_steps = 0;
+  for (int step = 0; step < 600; ++step) {
+    const u64 action = below(100);
+    if (!alive) {
+      if (action < 5) {
+        // A faulty writer appends without truncating first: whatever torn
+        // or garbled tail the file has is now mid-file corruption.
+      } else if (auto loaded = Journal::load(path); loaded.is_ok()) {
+        bytes.resize(loaded.value().valid_bytes);  // JournalWriter::open_append
+      } else {
+        bytes = header_line;  // JournalWriter::create
+      }
+      alive = true;
+    } else if (action < 8) {
+      // Crash mid-write: a torn partial line stays behind.
+      alive = false;
+      pending.clear();
+    } else if (action < 14) {
+      // Crash leaving a garbled complete final line (an empty one when the
+      // cut lands on a line boundary).
+      if (pending.empty()) queue_lines();
+      bytes += pending.substr(0, below(pending.find('\n'))) + "\n";
+      alive = false;
+      pending.clear();
+    } else if (action < 17) {
+      // The file shrinks under the tail: cut to an arbitrary length.
+      bytes.resize(below(bytes.size() + 1));
+      alive = false;
+      pending.clear();
+    } else {
+      if (pending.empty()) queue_lines();
+      const std::size_t n = std::min<std::size_t>(pending.size(),
+                                                  1 + below(500));
+      bytes += pending.substr(0, n);
+      pending.erase(0, n);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+
+    const std::string context = "step " + std::to_string(step);
+    const SplitJournal want = split_journal(bytes);
+    const Status polled = tail.poll();
+    auto loaded = Journal::load(path);
+    ASSERT_EQ(polled.code(), want.code) << context << ": "
+                                        << polled.to_string();
+    ASSERT_EQ(loaded.status().code(), want.code) << context;
+    if (want.code == StatusCode::kInternal) ++corrupt_steps;
+    if (want.code != StatusCode::kOk) continue;
+    EXPECT_EQ(tail.contents().header.workload, "vecadd") << context;
+    expect_contents(tail.contents(), want, context);
+    expect_contents(loaded.value(), want, context);
+    if (want.valid_bytes < bytes.size()) ++unconsumed_steps;
+  }
+  // The seed exercised every path: unconsumed torn tails, corruption, and
+  // the file shrinking below what the tail had consumed.
+  EXPECT_GT(unconsumed_steps, 0u);
+  EXPECT_GT(corrupt_steps, 0u);
+  EXPECT_GT(tail.restarts(), 0u);
+  EXPECT_GT(next_index, 100u);
 }
 
 // ----------------------------------------------------------- watchdog ----

@@ -4,7 +4,10 @@
 // sharded, or merged must reproduce the exact bytes of an uninterrupted
 // unsharded run deciding locally.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -283,6 +286,34 @@ TEST(Planner, StratifiedRecordsHonorTheJournaledAllocation) {
   EXPECT_LT(rate, 1.0);
 }
 
+TEST(Planner, ParkedFollowerFailsFastOnceItsSupervisorIsGone) {
+  const fs::path dir = scratch_dir("follower_orphan");
+  CampaignConfig config = adaptive_config((dir / "shard-0.jsonl").string());
+  config.planner.stratify = true;
+  config.shard_index = 0;
+  config.shard_count = 2;
+  config.planner.plan_path = (dir / "plan.jsonl").string();
+  {
+    // A plan with no allocation yet: the worker parks on checkpoint 0.
+    std::ofstream out(*config.planner.plan_path, std::ios::binary);
+    out << fi::plan_file_header(config) << "\n";
+  }
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ::close(pair[0]);  // the supervisor's end: it died
+  config.planner.wake_fd = pair[1];
+  ASSERT_GE(config.planner.plan_wait_ms, 60000u);
+
+  const auto started = std::chrono::steady_clock::now();
+  auto run = Campaign::run(config);
+  const auto waited = std::chrono::steady_clock::now() - started;
+  ::close(pair[1]);
+  ASSERT_FALSE(run.is_ok());
+  EXPECT_NE(run.status().message().find("supervisor gone"), std::string::npos)
+      << run.status().to_string();
+  EXPECT_LT(waited, std::chrono::seconds(1));
+}
+
 TEST(Planner, ShardedCampaignRefusesToDecideLocally) {
   const fs::path dir = scratch_dir("shard_refuse");
   CampaignConfig config = adaptive_config((dir / "j.jsonl").string());
@@ -334,7 +365,6 @@ SupervisorConfig planner_sup_config(const fs::path& dir,
   config.num_injections = mirror.num_injections;
   config.seed = mirror.seed;
   config.lease_ttl_ms = 3000;
-  config.poll_ms = 25;
   config.stall_timeout_ms = 0;
   config.worker_heartbeat_ms = 50;
   config.max_shard_attempts = 12;
@@ -377,6 +407,15 @@ TEST(Supervisor, AdaptiveRunMergesBitIdenticalToUnshardedAdaptive) {
   ASSERT_EQ(ran.value().shards_failed, 0u);
   EXPECT_EQ(ran.value().plan_stop, stopped_at);
   EXPECT_EQ(ran.value().merged.effective_injections, stopped_at);
+  // The planner tails the shard journals: it reads each byte about once,
+  // never once per checkpoint.
+  u64 journal_bytes = 0;
+  for (u32 s = 0; s < config.shards; ++s) {
+    journal_bytes +=
+        fs::file_size(Supervisor::shard_journal_path(config.dir, s));
+  }
+  EXPECT_GT(ran.value().planner_journal_bytes, 0u);
+  EXPECT_LE(ran.value().planner_journal_bytes, journal_bytes);
 
   const std::string merged_path = (dir / "merged.jsonl").string();
   ASSERT_TRUE(

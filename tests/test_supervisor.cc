@@ -62,7 +62,6 @@ SupervisorConfig sup_config(const fs::path& dir, u64 injections, u32 shards) {
   config.num_injections = injections;
   config.seed = kSeed;
   config.lease_ttl_ms = 3000;
-  config.poll_ms = 25;
   config.stall_timeout_ms = 0;  // hang detection: only the stall test
   config.worker_heartbeat_ms = 50;
   config.max_shard_attempts = 12;

@@ -80,7 +80,12 @@
 //                            follow planner decisions published to this
 //                            file instead of deciding locally — required
 //                            for sharded workers, which never see the full
-//                            record prefix
+//                            record prefix. `gpufi run` also passes
+//                            --plan-wake-fd=<fd>, the worker's end of its
+//                            wake channel: the worker signals each journaled
+//                            block on it and parks on it between blocks,
+//                            and exits when it closes. Without it a
+//                            follower re-reads the plan file every 50 ms.
 //
 // Supervisor flags (run; campaign flags above pass through to workers):
 //   --dir=<path>             campaign directory: shard journals, leases,
@@ -90,7 +95,6 @@
 //   --lease-ttl-ms=<n>       shard lease TTL              (default 15000)
 //   --stall-timeout-ms=<n>   SIGKILL a worker whose heartbeat sidecar is
 //                            this stale (0 disables; default 30000)
-//   --poll-ms=<n>            supervision loop period        (default 200)
 //   --max-shard-attempts=<n> abandon a shard after n consecutive
 //                            no-progress crashes              (default 6)
 //   --poison-threshold=<n>   quarantine an injection after n consecutive
@@ -136,6 +140,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -216,6 +221,7 @@ struct Options {
   std::optional<u64> checkpoint_every;
   std::string stratify = "none";
   std::optional<std::string> plan;  ///< --plan= follow-mode file (campaign)
+  std::optional<int> plan_wake_fd;  ///< --plan-wake-fd= (supervisor-owned)
   bool allow_partial = false;   ///< --allow-partial (merge)
   std::optional<std::string> out;  ///< --out merged-journal path (run/merge)
   // `run` supervisor knobs (defaults mirror fi::SupervisorConfig).
@@ -224,7 +230,6 @@ struct Options {
   u32 workers = 0;  ///< 0 = one worker per shard
   u64 lease_ttl_ms = 15000;
   u64 stall_timeout_ms = 30000;
-  u64 poll_ms = 200;
   u32 max_shard_attempts = 6;
   u32 poison_threshold = 3;
   u64 backoff_base_ms = 500;
@@ -514,7 +519,6 @@ std::optional<Options> parse(int argc, char** argv) {
     } u64_knobs[] = {
         {"lease-ttl-ms", &options.lease_ttl_ms, true},
         {"stall-timeout-ms", &options.stall_timeout_ms, false},
-        {"poll-ms", &options.poll_ms, true},
         {"backoff-base-ms", &options.backoff_base_ms, false},
         {"backoff-cap-ms", &options.backoff_cap_ms, false},
     };
@@ -623,6 +627,16 @@ std::optional<Options> parse(int argc, char** argv) {
       options.plan = value;
       continue;
     }
+    if (parse_flag(arg, "plan-wake-fd", &value)) {
+      auto parsed = cli::parse_u32(value);
+      if (!parsed || *parsed > static_cast<u32>(INT_MAX)) {
+        std::fprintf(stderr, "bad --plan-wake-fd '%s' (want a descriptor)\n",
+                     value.c_str());
+        return std::nullopt;
+      }
+      options.plan_wake_fd = static_cast<int>(*parsed);
+      continue;
+    }
     std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
     return std::nullopt;
   }
@@ -728,6 +742,7 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
   }
   config.planner.stratify = options.stratify == "group";
   config.planner.plan_path = options.plan;
+  config.planner.wake_fd = options.plan_wake_fd.value_or(-1);
   if (options.golden_cache) {
     fi::GoldenCache::instance().set_directory(*options.golden_cache);
   }
@@ -1098,7 +1113,6 @@ int cmd_run(const Options& options, const char* argv0) {
   config.num_injections = options.injections;
   config.seed = options.seed;
   config.lease_ttl_ms = options.lease_ttl_ms;
-  config.poll_ms = options.poll_ms;
   config.stall_timeout_ms = options.stall_timeout_ms;
   config.worker_heartbeat_ms = options.heartbeat_ms;
   config.max_shard_attempts = options.max_shard_attempts;
@@ -1148,10 +1162,10 @@ int cmd_run(const Options& options, const char* argv0) {
   // Planner flags are forwarded so worker journal headers match the
   // unsharded adaptive campaign's byte-for-byte; the supervisor itself
   // appends the --plan= flag that puts workers in follow mode.
-  if (options.plan) {
+  if (options.plan || options.plan_wake_fd) {
     std::fprintf(stderr,
-                 "gpufi run: --plan is supervisor-owned (workers are pointed "
-                 "at <dir>/plan.jsonl automatically)\n");
+                 "gpufi run: --plan and --plan-wake-fd are supervisor-owned "
+                 "(workers are pointed at <dir>/plan.jsonl automatically)\n");
     return 2;
   }
   char fbuf[32];
@@ -1191,11 +1205,13 @@ int cmd_run(const Options& options, const char* argv0) {
   const fi::SupervisorResult& result = ran.value();
   std::printf(
       "supervisor: %llu worker launch(es), %llu crash(es), %llu stall "
-      "kill(s), %llu lease takeover(s)\n",
+      "kill(s), %llu lease takeover(s), %llu journal byte(s) read by the "
+      "planner\n",
       static_cast<unsigned long long>(result.worker_launches),
       static_cast<unsigned long long>(result.crashes),
       static_cast<unsigned long long>(result.stall_kills),
-      static_cast<unsigned long long>(result.takeovers));
+      static_cast<unsigned long long>(result.takeovers),
+      static_cast<unsigned long long>(result.planner_journal_bytes));
   if (result.plan_stop > 0) {
     std::printf("planner: stopped at %llu of %zu injections\n",
                 static_cast<unsigned long long>(result.plan_stop),
