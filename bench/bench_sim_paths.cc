@@ -1,16 +1,13 @@
 // Hook-free vs instrumented-path simulator throughput.
 //
-// The tiered dispatch architecture promises that a hook-free launch — by
-// default the threaded tier: predecoded handler ids, computed-goto/switch
-// dispatch, superinstruction fusion — is substantially faster than the
-// instrumented inner loop it replaced. This bench measures both sides on
-// the same workloads — the instrumented side via EngineTier::kInstrumented,
-// which preserves the pre-refactor per-instruction semantics with an empty
-// hook vector — writes BENCH_sim.json, and exits 1 when the geomean
-// hook-free speedup drops below the 1.5x CI gate.
-//
-// --engine=instrumented|clean|threaded pins the hook-free side to one tier
-// for A/B comparisons (strict parse: anything else exits 2).
+// The tiered engine promises that a hook-free launch — the clean tier:
+// predecoded instructions and SIMD row kernels — is substantially faster
+// than the instrumented inner loop it replaced. This bench measures both
+// sides on the same workloads — the instrumented side via
+// EngineTier::kInstrumented, which preserves the pre-refactor
+// per-instruction semantics with an empty hook vector — writes
+// BENCH_sim.json, and exits 1 when the geomean hook-free speedup drops
+// below the 1.5x CI gate. It takes no arguments (any exits 2).
 //
 // Measurement is noise-hardened: each workload runs several alternating
 // hook-free/instrumented trials and each side keeps its best trial rate, so
@@ -22,14 +19,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "arch/arch.h"
 #include "common/simd.h"
 #include "sassim/device.h"
-#include "sassim/exec_threaded.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -72,8 +67,8 @@ struct Bench {
     spec = setup.value();
   }
 
-  /// One timed window of hook-free launches on `tier`; returns
-  /// warp-instrs/sec.
+  /// One timed window of launches on `tier` (kAuto: hook-free clean);
+  /// returns warp-instrs/sec.
   double timed_window(sim::EngineTier tier, double window_s) {
     sim::LaunchOptions options;
     options.engine = tier;
@@ -99,7 +94,7 @@ struct Bench {
 };
 
 struct PathRates {
-  double clean = 0.0;  ///< the hook-free side (selected tier)
+  double clean = 0.0;  ///< the hook-free side
   double instrumented = 0.0;
 
   [[nodiscard]] double speedup() const {
@@ -107,14 +102,15 @@ struct PathRates {
   }
 };
 
-PathRates measure(const std::string& name, const sim::MachineConfig& machine,
-                  sim::EngineTier tier) {
+PathRates measure(const std::string& name, const sim::MachineConfig& machine) {
   Bench bench(name, machine);
-  (void)bench.timed_window(tier, 0.0);  // warm-up: decode cache + allocator
+  // Warm-up: decode cache + allocator.
+  (void)bench.timed_window(sim::EngineTier::kAuto, 0.0);
   const double window_s = min_ms() / 1e3 / (2 * kTrials);
   PathRates best;
   for (int trial = 0; trial < kTrials; ++trial) {
-    best.clean = std::max(best.clean, bench.timed_window(tier, window_s));
+    best.clean = std::max(
+        best.clean, bench.timed_window(sim::EngineTier::kAuto, window_s));
     best.instrumented = std::max(
         best.instrumented,
         bench.timed_window(sim::EngineTier::kInstrumented, window_s));
@@ -125,27 +121,9 @@ PathRates measure(const std::string& name, const sim::MachineConfig& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::EngineTier tier = sim::EngineTier::kAuto;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--engine=", 9) == 0) {
-      const char* value = arg + 9;
-      if (std::strcmp(value, "instrumented") == 0) {
-        tier = sim::EngineTier::kInstrumented;
-      } else if (std::strcmp(value, "clean") == 0) {
-        tier = sim::EngineTier::kClean;
-      } else if (std::strcmp(value, "threaded") == 0) {
-        tier = sim::EngineTier::kThreaded;
-      } else {
-        std::fprintf(stderr,
-                     "invalid --engine '%s' (instrumented|clean|threaded)\n",
-                     value);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown argument '%s'\n", argv[1]);
+    return 2;
   }
 
   // gemm dominates (deep FP inner loop); the others add divergence-, guard-,
@@ -154,12 +132,9 @@ int main(int argc, char** argv) {
   const std::vector<std::string> workloads = {"gemm", "scan", "reduce_u32",
                                               "saxpy"};
   const sim::MachineConfig machine = arch::a100();
-  const char* tier_name = sim::engine_tier_name(
-      tier == sim::EngineTier::kAuto ? sim::EngineTier::kThreaded : tier);
 
   std::printf("Simulator path throughput (A100 model, hook-free launches)\n");
-  std::printf("simd backend: %s, dispatch backend: %s, engine: %s\n",
-              simd::backend(), sim::exec::dispatch_backend(), tier_name);
+  std::printf("simd backend: %s\n", simd::backend());
   std::printf("%-12s %15s %15s %9s\n", "workload", "hook-free (wi/s)",
               "instrumented", "speedup");
 
@@ -167,7 +142,7 @@ int main(int argc, char** argv) {
   double log_speedup_sum = 0.0;
   double gemm_clean = 0.0;
   for (const std::string& name : workloads) {
-    const PathRates rates = measure(name, machine, tier);
+    const PathRates rates = measure(name, machine);
     std::printf("%-12s %15.0f %15.0f %8.2fx\n", name.c_str(), rates.clean,
                 rates.instrumented, rates.speedup());
     char row[512];
@@ -199,18 +174,15 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "{\n  \"bench\": \"sim_paths\",\n  \"arch\": \"%s\",\n"
                "  \"simd\": \"%s\",\n"
-               "  \"dispatch\": \"%s\",\n"
-               "  \"engine\": \"%s\",\n"
+               "  \"engine\": \"clean\",\n"
                "  \"workloads\": [\n%s  ],\n"
                "  \"geomean_speedup\": %.3f,\n"
                "  \"gate_speedup\": %.1f,\n"
                "  \"gemm_clean_warp_instrs_per_sec\": %.0f,\n"
                "  \"gemm_pre_refactor_empty_hook_warp_instrs_per_sec\": %.0f,\n"
                "  \"gemm_clean_speedup_vs_pre_refactor\": %.3f\n}\n",
-               machine.name.c_str(), simd::backend(),
-               sim::exec::dispatch_backend(), tier_name, rows.c_str(), geomean,
-               kGateSpeedup,
-               gemm_clean, kPreRefactorGemmRate, vs_pre_refactor);
+               machine.name.c_str(), simd::backend(), rows.c_str(), geomean,
+               kGateSpeedup, gemm_clean, kPreRefactorGemmRate, vs_pre_refactor);
   std::fclose(out);
 
   if (geomean < kGateSpeedup) {

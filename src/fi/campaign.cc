@@ -357,24 +357,16 @@ Result<InjectionRecord> Campaign::run_single(
   std::optional<wl::Workload::Checked> final_check;
 
   // Dispatch-tier telemetry, keyed on what the engine actually ran
-  // (LaunchResult::tier_used, LaunchResult::instrumented_warp_instrs)
-  // rather than what the launch requested: launches per final tier,
-  // mid-launch downgrades, and dynamic warp instructions per tier, whose
-  // two counters sum to the launched records' journal `dyn` total.
-  // Purely additive: counters go only to --metrics-out snapshots, never
-  // journals, so tier pins cannot perturb journal diffs.
-  obs::Counter* tier_counter[static_cast<int>(sim::EngineTier::kThreaded) + 1] =
-      {};
+  // (LaunchResult::instrumented_warp_instrs, LaunchResult::downgraded)
+  // rather than what the launch requested: mid-launch downgrades, and
+  // dynamic warp instructions per tier, whose two counters sum to the
+  // launched records' journal `dyn` total. Purely additive: counters go
+  // only to --metrics-out snapshots, never journals, so tier pins cannot
+  // perturb journal diffs.
   obs::Counter* tier_downgrades = nullptr;
   obs::Counter* instrumented_winstrs = nullptr;
   obs::Counter* fast_winstrs = nullptr;
   if (metrics) {
-    for (const sim::EngineTier tier :
-         {sim::EngineTier::kInstrumented, sim::EngineTier::kClean,
-          sim::EngineTier::kThreaded}) {
-      tier_counter[static_cast<int>(tier)] = &metrics->counter(
-          std::string("engine.dispatch.") + sim::engine_tier_name(tier));
-    }
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
     instrumented_winstrs =
         &metrics->counter("engine.dispatch.instrumented_winstrs");
@@ -403,7 +395,6 @@ Result<InjectionRecord> Campaign::run_single(
     if (!launch.is_ok()) return launch.status();
     if (metrics) {
       const sim::LaunchResult& ran = launch.value();
-      tier_counter[static_cast<int>(ran.tier_used)]->inc();
       if (ran.downgraded) tier_downgrades->inc();
       instrumented_winstrs->inc(ran.instrumented_warp_instrs);
       fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs);

@@ -127,13 +127,12 @@ struct CampaignConfig {
   std::string workload;            ///< registry name
   sim::MachineConfig machine;      ///< arch preset (a100() / h100() / toy())
   FaultModel model;
-  /// Dispatch-tier pin forwarded to every launch of the campaign (golden
-  /// run included). kAuto — the default — lets the simulator pick the
-  /// fastest correct tier per launch; the explicit values exist for
-  /// debugging and tier-equivalence CI, which diffs paired-seed journals
-  /// across pins byte-for-byte. Like `quarantine`, deliberately NOT part
-  /// of the journal header: all tiers are bit-identical, so a journal is
-  /// resumable under a different pin.
+  /// Tier pin forwarded to every launch of the campaign (golden run
+  /// included). kAuto — the default — runs clean wherever no hook observes;
+  /// kInstrumented exists for debugging and tier-equivalence CI, which
+  /// diffs paired-seed journals across pins byte-for-byte. Like
+  /// `quarantine`, deliberately NOT part of the journal header: both tiers
+  /// are bit-identical, so a journal is resumable under a different pin.
   sim::EngineTier engine = sim::EngineTier::kAuto;
   /// Instruction-group filter for IOV/PRED/IOA. nullopt = sample across all
   /// groups the mode can target, weighted by dynamic frequency.

@@ -23,67 +23,6 @@
 
 namespace gfi::sim {
 
-/// Direct handler id for the threaded dispatch tier (exec_threaded.h).
-/// Assigned once per pc by DecodedProgram's lowering pass, so the hook-free
-/// interpreter jumps straight to a specialized handler instead of switching
-/// on the opcode and then re-validating vector-path eligibility per dynamic
-/// instruction. kGeneric delegates to the templated clean dispatcher and is
-/// always a correct (if slower) assignment; every other id encodes a
-/// decode-time proof (operand kinds, dtype, width) that the corresponding
-/// fast path applies whenever the runtime mask/fault preconditions hold.
-enum class Handler : u8 {
-  kGeneric,       ///< no specialization: clean dispatch switch
-
-  // Control flow (bodies mirror the clean dispatcher's cases exactly).
-  kExit,
-  kBra,
-  kSync,
-  kBar,
-
-  // Full-warp vector ALU ops, decode-proven eligible for the exec_vec row
-  // kernels (vec_srcs, dtype/width restrictions). Runtime check: full mask.
-  kMov,
-  kSel,
-  kIAdd,
-  kIMul,
-  kIMad32,        ///< 32-bit multiply-add
-  kIMadWide,      ///< IMAD.WIDE (u32*u32+u64 -> pair); address idiom
-  kIMnmx,
-  kISetp,
-  kLop,
-  kShf,
-  kPopc,
-  kFArith,        ///< f32 FADD/FMUL/FMNMX
-  kFFma,
-  kFSetp,
-  kI2F,
-
-  // Row-wise memory ops (width-4, register base/data), decode-proven for
-  // the exec_vec row kernels. Runtime check: full mask (+ fault-free map
-  // for global memory).
-  kLdgRow,
-  kStgRow,
-  kLdsRow,
-  kStsRow,
-
-  // Superinstruction fusion. Heads keep their own scheduler slot (cycles,
-  // issue budget, and per-instruction accounting are untouched) but
-  // precompute the tail's work into a per-warp stash; tails consume the
-  // stash when valid and fall back to their unfused behavior otherwise
-  // (branch into the tail, downgrade resume, partial mask at the head).
-  kCmpBraHead,    ///< vec ISETP whose dst pred guards the next BRA
-  kBraFusedTail,  ///< BRA consuming the stashed taken-mask
-  kAddrLdgHead,   ///< IMAD.WIDE feeding the next LDG's address pair
-  kLdgFusedTail,  ///< LDG with head-proven alignment + bounds
-  kAddrStgHead,   ///< IMAD.WIDE feeding the next STG's address pair
-  kStgFusedTail,  ///< STG with head-proven alignment + bounds
-  kFFmaChainHead, ///< f32 FFMA pair executed in one handler
-  kFFmaChainTail, ///< second FFMA of a fused chain (skips when stashed)
-};
-
-inline constexpr int kHandlerCount =
-    static_cast<int>(Handler::kFFmaChainTail) + 1;
-
 /// One resolved operand: the payload of `Operand` without any need to
 /// consult the opcode again. kNone reads as 0, matching the executor.
 struct DecodedOperand {
@@ -118,10 +57,6 @@ struct DecodedInstr {
   bool vec_srcs = false;
   OperandKind dst_kind = OperandKind::kNone;
   u16 dst_index = 0;
-  /// Threaded-tier direct dispatch target; see Handler. Lowered in a second
-  /// pass over the decoded stream (fusion inspects pc+1). The templated
-  /// clean/instrumented paths never read this field.
-  Handler handler = Handler::kGeneric;
 };
 
 /// The decode pass over a linked program: a dense DecodedInstr per pc plus

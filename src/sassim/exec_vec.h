@@ -101,14 +101,12 @@ inline u32* dst_row(WarpState& warp, const DecodedInstr& instr, u32* sink) {
 // Register/immediate ALU row kernels
 // ---------------------------------------------------------------------------
 //
-// One kernel per decode-proven op shape, each running all 32 lanes with the
-// per-lane operand-kind switches hoisted out of the lane loop and the flat
+// One kernel per op shape, each running all 32 lanes with the per-lane
+// operand-kind switches hoisted out of the lane loop and the flat
 // 32-element loops lowered onto simd::u32xN / simd::f32xN chunks. Callers
-// guarantee the matching Handler's preconditions: every lane executes, no
-// source is a predicate (instr.vec_srcs), and the dtype/width restriction
-// vec_alu() re-checks below. vec_alu() is the opcode-switch front end used
-// by the templated clean path; the threaded tier (exec_threaded.h) jumps
-// straight to the kernel its lowering pass proved applicable.
+// guarantee every lane executes, no source is a predicate
+// (instr.vec_srcs), and the dtype/width restriction vec_alu() checks
+// below; vec_alu() is the opcode-switch front end the engine calls.
 
 inline void vec_mov(WarpState& warp, const DecodedInstr& instr) {
   u32 sink[kWarpSize];
@@ -173,23 +171,11 @@ inline void vec_imad32(WarpState& warp, const DecodedInstr& instr) {
   }
 }
 
-/// Per-lane address statistics an IMAD.WIDE fusion head collects while it
-/// runs, proving the whole row safe for a check-free fused LDG/STG tail.
-struct AddrProbe {
-  u64 off = 0;        ///< tail's immediate byte offset, added per lane
-  bool aligned = true;
-  u64 lo = ~u64{0};   ///< min lane address (including off)
-  u64 hi = 0;         ///< max lane address (including off)
-};
-
 /// IMAD.WIDE: 32x32 product into a 64-bit accumulator, spread over a
 /// register-pair row each for C and D. Stays a scalar row loop: the
 /// widening/interleaved u64 dance costs more in AVX2 shuffles than the
-/// multiply saves, and exactness is free either way. When `probe` is given
-/// (fusion head, dst proven non-RZ) the loop also tracks the tail's
-/// address alignment and min/max bounds.
-inline void vec_imad_wide(WarpState& warp, const DecodedInstr& instr,
-                          AddrProbe* probe = nullptr) {
+/// multiply saves, and exactness is free either way.
+inline void vec_imad_wide(WarpState& warp, const DecodedInstr& instr) {
   const DecodedOperand& oa = instr.src[0];
   const DecodedOperand& ob = instr.src[1];
   u32 scratch_a[kWarpSize];
@@ -224,24 +210,10 @@ inline void vec_imad_wide(WarpState& warp, const DecodedInstr& instr,
   if (instr.dst_index == kRegZ) return;
   u32* dlo = warp.row(instr.dst_index);
   u32* dhi = warp.row(static_cast<u16>(instr.dst_index + 1));
-  u64 misaligned = 0;
-  u64 lo = ~u64{0};
-  u64 hi = 0;
   for (u32 l = 0; l < kWarpSize; ++l) {
     const u64 r = static_cast<u64>(a[l]) * b[l] + make64(clo[l], chi[l]);
     dlo[l] = lo32(r);
     dhi[l] = hi32(r);
-    if (probe) {
-      const u64 addr = r + probe->off;
-      misaligned |= addr & 3;
-      lo = addr < lo ? addr : lo;
-      hi = addr > hi ? addr : hi;
-    }
-  }
-  if (probe) {
-    probe->aligned = misaligned == 0;
-    probe->lo = lo;
-    probe->hi = hi;
   }
 }
 
@@ -264,10 +236,8 @@ inline void vec_imnmx(WarpState& warp, const DecodedInstr& instr) {
   }
 }
 
-/// Writes the full predicate row and returns the lane mask — the return
-/// value is what lets an ISETP+BRA fusion head reuse the compare result as
-/// the branch guard without re-scanning the predicate row.
-inline u32 vec_isetp(WarpState& warp, const DecodedInstr& instr) {
+/// Writes the full predicate row.
+inline void vec_isetp(WarpState& warp, const DecodedInstr& instr) {
   const auto cmp = static_cast<CmpOp>(instr.sub);
   const bool is_signed = instr.dtype == DType::kS32;
   u32 lanes = 0;
@@ -278,7 +248,6 @@ inline u32 vec_isetp(WarpState& warp, const DecodedInstr& instr) {
              << (q * simd::kWidth);
   }
   warp.set_pred_row(static_cast<u8>(instr.dst_index), lanes);
-  return lanes;
 }
 
 inline void vec_lop(WarpState& warp, const DecodedInstr& instr) {
@@ -393,9 +362,7 @@ inline void vec_i2f(WarpState& warp, const DecodedInstr& instr) {
 /// Opcode-switch front end over the row kernels for the templated clean
 /// path. Caller guarantees every lane executes and no source is a predicate
 /// (instr.vec_srcs). Returns false for shapes the kernels do not cover
-/// (caller falls through to the generic loop). The dtype/width early-outs
-/// here are exactly what DecodedProgram's lowering pass proves statically
-/// when it assigns a per-op Handler.
+/// (caller falls through to the generic loop).
 inline bool vec_alu(WarpState& warp, const DecodedInstr& instr) {
   switch (instr.op) {
     case Opcode::kMov:
@@ -575,34 +542,6 @@ inline RowMemResult stg_row(WarpState& warp, const DecodedInstr& instr,
     mem.write_u32_raw(addrs[lane], v[lane]);
   }
   return {RowMem::kDone, TrapKind::kNone, 0};
-}
-
-/// Check-free fused-tail variants: an IMAD.WIDE fusion head just proved
-/// 4-byte alignment and min/max bounds for this exact address row (via
-/// AddrProbe) under fault_free(), and nothing can run on the warp between
-/// the head's slot and this one, so the row is serviced with no validation
-/// at all. The fault map cannot repopulate mid-launch on the hook-free
-/// path (injections land pre-launch or through hooks).
-inline void ldg_row_fused(WarpState& warp, const DecodedInstr& instr,
-                          const GlobalMemory& mem) {
-  const u32* alo = warp.row(instr.src[0].index);
-  const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
-  const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  u32* d = warp.row(instr.dst_index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    d[lane] = mem.read_u32_raw(make64(alo[lane], ahi[lane]) + off);
-  }
-}
-
-inline void stg_row_fused(WarpState& warp, const DecodedInstr& instr,
-                          GlobalMemory& mem) {
-  const u32* alo = warp.row(instr.src[0].index);
-  const u32* ahi = warp.row(static_cast<u16>(instr.src[0].index + 1));
-  const u64 off = instr.src[1].is_imm() ? instr.src[1].imm : 0;
-  const u32* v = warp.row(instr.src[2].index);
-  for (u32 lane = 0; lane < kWarpSize; ++lane) {
-    mem.write_u32_raw(make64(alo[lane], ahi[lane]) + off, v[lane]);
-  }
 }
 
 /// Full-warp 32-bit shared load. Alignment and bounds are both provable up

@@ -58,10 +58,9 @@ struct StrikeTrigger {
 /// callbacks have no effect outside its struck instruction may declare a
 /// trigger, and it must report done_observing() once that instruction has
 /// executed. on_launch_begin / on_launch_end are delivered as always.
-/// The counted prefix runs on the clean tier, which fuses nothing, so a
-/// strike may land on any instruction, a threaded-tier fusion tail
-/// included; the threaded tier takes over at the first cycle boundary after
-/// the last strike, and the launch reports LaunchResult::downgraded.
+/// A strike may land on any instruction; at the first cycle boundary after
+/// the last strike the launch drops the countdown, runs plain clean, and
+/// reports LaunchResult::downgraded.
 class InstrumentHook {
  public:
   virtual ~InstrumentHook() = default;

@@ -11,7 +11,6 @@
 
 #include "common/bitutil.h"
 #include "sassim/decoded.h"
-#include "sassim/exec_threaded.h"
 #include "sassim/exec_vec.h"
 #include "sassim/profiler.h"
 
@@ -87,33 +86,20 @@ f32 mufu_eval(MufuKind kind, f32 x) {
 // store addresses routed through transform_store_address. The Clean
 // instantiation strips every one of those: no context, no hook dispatch, a
 // single guard-mask computation with a fast path for unguarded (@PT)
-// instructions. The Threaded instantiation replaces Clean's opcode switch
-// with direct dispatch on the predecoded handler ids (exec_threaded.h) —
-// same scheduler, same accounting, bit-identical observables. The Triggered
-// instantiation is the native strike trigger: Clean execution plus a
-// per-hook countdown, with the one instruction that exhausts a countdown
-// run instrumented. It counts on Clean, not Threaded, because the threaded
-// tier's fusion heads precompute their tail's work, and a strike landing on
-// a fused tail would then re-run or skip work the head already did.
+// instructions. The Triggered instantiation is the native strike trigger:
+// Clean execution plus a per-hook countdown, with the one instruction that
+// exhausts a countdown run instrumented.
 
 struct CleanPolicy {
   static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = false;
   static constexpr bool kTriggered = false;
 };
 struct InstrumentedPolicy {
   static constexpr bool kInstrumented = true;
-  static constexpr bool kThreaded = false;
-  static constexpr bool kTriggered = false;
-};
-struct ThreadedPolicy {
-  static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = true;
   static constexpr bool kTriggered = false;
 };
 struct TriggeredPolicy {
   static constexpr bool kInstrumented = false;
-  static constexpr bool kThreaded = false;
   static constexpr bool kTriggered = true;
 };
 
@@ -121,7 +107,7 @@ struct TriggeredPolicy {
 enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< all hooks done observing: continue on the hook-free tier
+  kDowngraded,  ///< all hooks done observing: continue on the clean tier
 };
 
 }  // namespace
@@ -374,11 +360,6 @@ struct Simulator::Engine {
         }
       }
       return TrapKind::kNone;
-    } else if constexpr (Policy::kThreaded) {
-      // Threaded tier: handlers do their own exec-mask computation and
-      // accounting (fusion heads and tails must each count exactly once),
-      // so the whole slot is one direct-dispatched call.
-      return exec::threaded_dispatch(*this, cta, warp, instr);
     } else {
       // Clean path: nothing can mutate predicates between issue and
       // execute, so one guard-mask computation suffices — and an unguarded
@@ -422,15 +403,6 @@ struct Simulator::Engine {
     hooks = struck;
     ++instrumented_warp;
     return exec_instr<InstrumentedPolicy>(cta, warp, instr);
-  }
-
-  /// Non-template entry into the generic clean dispatcher for the threaded
-  /// tier's fallbacks (exec_threaded.h is duck-typed over Engine and cannot
-  /// name the policy tags in this anonymous namespace). `exec` is already
-  /// accounted by the caller.
-  TrapKind dispatch_clean(Cta& cta, WarpState& warp, const DecodedInstr& instr,
-                          u32 exec) {
-    return dispatch<CleanPolicy>(cta, warp, instr, exec, nullptr);
   }
 
   // Executes `instr` for lanes in `exec`; manages the PC. `ctx` is non-null
@@ -1150,7 +1122,7 @@ struct Simulator::Engine {
         // Mid-launch downgrade: once every attached hook has finished
         // observing (e.g. a one-shot injector whose fault has fired), the
         // remaining instructions cannot be affected by instrumentation, so
-        // the caller re-enters on a hook-free tier. Checked at a cycle
+        // the caller re-enters on the clean tier. Checked at a cycle
         // boundary; an explicitly pinned instrumented engine never
         // downgrades (benchmark/equivalence baseline).
         if (!opts.hooks.empty() && opts.engine != EngineTier::kInstrumented) {
@@ -1166,7 +1138,7 @@ struct Simulator::Engine {
       }
       if constexpr (Policy::kTriggered) {
         // Every countdown has struck: the hooks are inert (the trigger
-        // contract), so the rest of the launch runs on the hook-free tier.
+        // contract), so the rest of the launch runs on the clean tier.
         if (armed_groups == 0) return RunExit::kDowngraded;
       }
 
@@ -1330,42 +1302,28 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
 
   // Tier selection. Hook-free launches — golden runs included — run the
-  // threaded tier unless pinned to clean. Hooked launches whose hooks all
-  // declare a strike trigger count down to the strike on the clean tier,
-  // run only the struck instruction(s) instrumented, then downgrade. Other
-  // hooked launches (and an explicit kInstrumented pin, which never
-  // triggers or downgrades) run instrumented; once every hook is done
-  // observing, they too resume hook-free from the identical launch state.
-  // All tiers are bit-identical in every architecturally observable way.
-  const bool pin_clean = options.engine == EngineTier::kClean;
+  // clean tier. Hooked launches whose hooks all declare a strike trigger
+  // count down to the strike on the clean tier, run only the struck
+  // instruction(s) instrumented, then downgrade. Other hooked launches (and
+  // an explicit kInstrumented pin, which never triggers or downgrades) run
+  // instrumented; once every hook is done observing, they too resume on the
+  // clean tier from the identical launch state. Both tiers are bit-identical
+  // in every architecturally observable way.
   const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
-  const EngineTier hook_free =
-      pin_clean ? EngineTier::kClean : EngineTier::kThreaded;
-  auto run_hook_free = [&] {
-    if (pin_clean) {
-      engine.run<CleanPolicy>();
-    } else {
-      engine.run<ThreadedPolicy>();
-    }
-  };
-  EngineTier tier_used = hook_free;
   bool downgraded = false;
   if (options.hooks.empty() && !pin_instrumented) {
-    run_hook_free();
+    engine.run<CleanPolicy>();
   } else {
     RunExit exit;
     if (!pin_instrumented && engine.arm_triggers()) {
       exit = engine.run<TriggeredPolicy>();
-      tier_used = EngineTier::kClean;
     } else {
       exit = engine.run<InstrumentedPolicy>();
       engine.instrumented_warp = engine.dyn_warp;
-      tier_used = EngineTier::kInstrumented;
     }
     if (exit == RunExit::kDowngraded) {
       downgraded = true;
-      run_hook_free();
-      tier_used = hook_free;
+      engine.run<CleanPolicy>();
     }
   }
 
@@ -1376,7 +1334,6 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   result.instrumented_warp_instrs = engine.instrumented_warp;
   result.cycles = engine.cycle;
   result.ecc = memory_.counters();
-  result.tier_used = tier_used;
   result.downgraded = downgraded;
   return result;
 }

@@ -25,31 +25,18 @@ namespace gfi::sim {
 
 struct Profile;
 
-/// Execution tier the engine runs a launch on. Hooked launches run the
-/// instrumented template, except that the native strike trigger (see
-/// InstrumentHook::trigger) runs all but the struck instruction clean; the
-/// tier choice governs what hook-free execution (including the
-/// post-downgrade remainder of a hooked launch) runs on. All tiers are
-/// bit-identical in every architecturally observable way — results, traps,
-/// cycles, dynamic-instruction counts, journals — differing only in speed.
+/// Execution tier the engine runs a launch on. There are two: the hook-free
+/// clean tier (templated over exec_vec.h's SIMD row kernels) and the
+/// instrumented tier that drives hooks and serves as the reference. Hooked
+/// launches run instrumented, except that the native strike trigger (see
+/// InstrumentHook::trigger) runs all but the struck instruction clean. Both
+/// tiers are bit-identical in every architecturally observable way —
+/// results, traps, cycles, dynamic-instruction counts, journals — differing
+/// only in speed.
 enum class EngineTier : u8 {
-  kAuto,          ///< fastest correct tier: threaded when hook-free
+  kAuto,          ///< clean whenever no hook observes (default)
   kInstrumented,  ///< always the instrumented template (no downgrade)
-  kClean,         ///< templated clean path for hook-free execution
-  kThreaded,      ///< lowered computed-goto/switch interpreter (default)
 };
-
-/// Tier name for metrics/CLI ("auto" never appears in results: kAuto
-/// resolves to a concrete tier at launch).
-[[nodiscard]] constexpr const char* engine_tier_name(EngineTier tier) {
-  switch (tier) {
-    case EngineTier::kAuto: return "auto";
-    case EngineTier::kInstrumented: return "instrumented";
-    case EngineTier::kClean: return "clean";
-    case EngineTier::kThreaded: return "threaded";
-  }
-  return "auto";
-}
 
 /// Per-launch options.
 struct LaunchOptions {
@@ -64,16 +51,12 @@ struct LaunchOptions {
   /// natively — no ProfilerHook needed, so a profile-only launch still
   /// takes the clean path. Counts match ProfilerHook's exactly.
   Profile* profile = nullptr;
-  /// Dispatch-tier selection (replaces the old bool force_instrumented).
-  /// kAuto picks the fastest correct tier per launch: threaded when
-  /// hook-free, clean up to a strike trigger, instrumented while hooks
-  /// without a trigger observe, threaded again after a mid-launch
-  /// downgrade. kInstrumented pins the exact pre-refactor inner loop
-  /// (context construction, double guard-mask computation, hook walks),
-  /// never honours a trigger and never downgrades — benchmark/equivalence
-  /// baseline. kClean and
-  /// kThreaded pin the hook-free side to one implementation for debugging
-  /// and tier-equivalence testing.
+  /// Tier selection. kAuto runs clean when hook-free and up to a strike
+  /// trigger, instrumented while hooks without a trigger observe, and clean
+  /// again after a mid-launch downgrade. kInstrumented pins the exact
+  /// pre-refactor inner loop (context construction, double guard-mask
+  /// computation, hook walks), never honours a trigger and never
+  /// downgrades — benchmark/equivalence baseline.
   EngineTier engine = EngineTier::kAuto;
 };
 
@@ -89,10 +72,6 @@ struct LaunchResult {
   u64 instrumented_warp_instrs = 0;
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
-  /// Concrete tier the launch finished on (never kAuto); after a mid-launch
-  /// downgrade this is the tier the remainder ran on. A triggered launch
-  /// that ends before its downgrade reports kClean, the tier it counted on.
-  EngineTier tier_used = EngineTier::kClean;
   /// True when a hooked launch resumed hook-free mid-run: every hook
   /// finished observing, or every strike trigger's instruction executed.
   /// A triggered launch therefore reports true exactly when the

@@ -40,22 +40,6 @@ class WarpState {
   u64 ready_cycle = 0;      ///< timing model: earliest next issue
   bool at_barrier = false;
 
-  // --- superinstruction stash (threaded tier only) ------------------------
-  /// A fusion head stashes precomputed tail data here after executing in
-  /// its own scheduler slot: fuse_pc names the tail pc the stash is valid
-  /// for (always the head's pc + 1) and fuse_mask carries the payload (the
-  /// taken-lane mask for a fused BRA; unused otherwise — stash presence
-  /// itself encodes "head proved the tail's checks"). A tail consumes the
-  /// stash only when fuse_pc matches its own pc, so branching into a tail
-  /// from elsewhere — or resuming on it after an instrumented-tier
-  /// downgrade — safely falls back to the unfused handler. Nothing else on
-  /// the warp can run between a head's slot and its tail's slot, so a
-  /// matching stash is never stale. Purely an interpreter latch: not
-  /// architectural state, never snapshotted or observed by hooks.
-  static constexpr u32 kFuseInvalid = ~u32{0};
-  u32 fuse_pc = kFuseInvalid;
-  u32 fuse_mask = 0;
-
   [[nodiscard]] u32 active() const { return active_; }
   [[nodiscard]] u32 exited() const { return exited_; }
   [[nodiscard]] bool done() const { return active_ == 0 && stack_.empty(); }

@@ -1,11 +1,11 @@
-// Execution-path equivalence tests for the tiered engine: the threaded and
-// clean tiers must be bit-identical to the instrumented tier, concurrent
-// launches must safely share one Program's decode cache (lowering included),
-// the mid-launch downgrade must land on the threaded tier without perturbing
-// results, pending faults must route the threaded tier onto the checked
-// paths, the native strike trigger must reproduce the pinned instrumented
-// tier for every injection mode, and the hook contract (invocation order,
-// launch_end on every exit path, trigger delivery) is pinned here.
+// Execution-path equivalence tests for the tiered engine: the clean tier
+// must be bit-identical to the instrumented tier, concurrent launches must
+// safely share one Program's decode cache, the mid-launch downgrade must
+// land on the clean tier without perturbing results, pending faults must
+// route the clean tier onto the checked paths, the native strike trigger
+// must reproduce the pinned instrumented tier for every injection mode, and
+// the hook contract (invocation order, launch_end on every exit path,
+// trigger delivery) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,52 +87,41 @@ const char* const kPathWorkloads[] = {"vecadd", "scan", "reduce_u32", "spmv"};
 TEST(ExecPaths, CleanMatchesForcedInstrumentedBitExact) {
   for (const char* name : kPathWorkloads) {
     LaunchOptions clean;
-    clean.engine = sim::EngineTier::kClean;
     LaunchOptions forced;
     forced.engine = sim::EngineTier::kInstrumented;
     const RunOutput a = run_workload(name, nullptr, clean);
     const RunOutput b = run_workload(name, nullptr, forced);
     EXPECT_TRUE(identical(a, b)) << name;
-    EXPECT_EQ(a.result.tier_used, sim::EngineTier::kClean) << name;
-    EXPECT_EQ(b.result.tier_used, sim::EngineTier::kInstrumented) << name;
+    EXPECT_EQ(a.result.instrumented_warp_instrs, 0u) << name;
+    EXPECT_EQ(b.result.instrumented_warp_instrs, b.result.dyn_warp_instrs)
+        << name;
   }
 }
 
 TEST(ExecPaths, AllTiersBitIdenticalOnEveryWorkload) {
-  // The acceptance bar for the threaded tier: every built-in workload —
-  // fusion-heavy gemm included — produces byte-identical memory and
-  // identical counters on threaded, clean, and instrumented execution.
+  // The acceptance bar for the clean tier: every built-in workload
+  // produces byte-identical memory and identical counters on clean and
+  // instrumented execution.
   for (const std::string& name : wl::workload_names()) {
     LaunchOptions instrumented;
     instrumented.engine = sim::EngineTier::kInstrumented;
     const RunOutput reference = run_workload(name, nullptr, instrumented);
-    for (const sim::EngineTier tier :
-         {sim::EngineTier::kAuto, sim::EngineTier::kClean,
-          sim::EngineTier::kThreaded}) {
-      LaunchOptions options;
-      options.engine = tier;
-      const RunOutput out = run_workload(name, nullptr, options);
-      EXPECT_TRUE(identical(reference, out))
-          << name << " tier=" << sim::engine_tier_name(tier);
-      if (tier != sim::EngineTier::kClean) {
-        // kAuto resolves to threaded on a hook-free launch.
-        EXPECT_EQ(out.result.tier_used, sim::EngineTier::kThreaded) << name;
-      }
-      EXPECT_FALSE(out.result.downgraded) << name;
-    }
+    const RunOutput out = run_workload(name, nullptr, LaunchOptions{});
+    EXPECT_TRUE(identical(reference, out)) << name;
+    EXPECT_EQ(out.result.instrumented_warp_instrs, 0u) << name;
+    EXPECT_FALSE(out.result.downgraded) << name;
   }
 }
 
-TEST(ExecPaths, PendingFaultRoutesThreadedTierOntoCheckedPaths) {
+TEST(ExecPaths, PendingFaultRoutesCleanTierOntoCheckedPaths) {
   // An injected (not yet consumed) fault disables the unchecked row copies:
-  // the threaded tier must take the fault-aware generic path and classify
-  // the fault exactly like the other tiers, ECC counters included.
+  // the clean tier must take the fault-aware generic path and classify the
+  // fault exactly like the instrumented tier, ECC counters included.
   auto workload = wl::make_workload("vecadd");
   ASSERT_NE(workload, nullptr);
   std::vector<RunOutput> outputs;
   for (const sim::EngineTier tier :
-       {sim::EngineTier::kInstrumented, sim::EngineTier::kClean,
-        sim::EngineTier::kThreaded}) {
+       {sim::EngineTier::kInstrumented, sim::EngineTier::kAuto}) {
     Device device(arch::toy());
     auto spec = workload->setup(device);
     ASSERT_TRUE(spec.is_ok()) << spec.status().to_string();
@@ -164,21 +153,10 @@ TEST(ExecPaths, EmptyHookVectorTakesSameResultsAsInstrumented) {
     downgrading.hooks.push_back(&tracer);
     const RunOutput c = run_workload(name, nullptr, downgrading);
     EXPECT_TRUE(identical(a, c)) << name << " (mid-launch downgrade)";
-    // The downgrade must land on the threaded tier (fastest correct choice)
-    // and report itself.
+    // The downgrade must land on the clean tier and report itself.
     EXPECT_TRUE(c.result.downgraded) << name;
-    EXPECT_EQ(c.result.tier_used, sim::EngineTier::kThreaded) << name;
-
-    // Pinning kClean keeps the downgrade but lands on the templated path.
-    sim::TracerHook tracer2(/*max_entries=*/4);
-    tracer2.stop_after(0);
-    LaunchOptions pinned;
-    pinned.hooks.push_back(&tracer2);
-    pinned.engine = sim::EngineTier::kClean;
-    const RunOutput d = run_workload(name, nullptr, pinned);
-    EXPECT_TRUE(identical(a, d)) << name << " (downgrade into clean)";
-    EXPECT_TRUE(d.result.downgraded) << name;
-    EXPECT_EQ(d.result.tier_used, sim::EngineTier::kClean) << name;
+    EXPECT_LT(c.result.instrumented_warp_instrs, c.result.dyn_warp_instrs)
+        << name;
 
     // Pinning kInstrumented suppresses the downgrade entirely.
     sim::TracerHook tracer3(/*max_entries=*/4);
@@ -189,7 +167,8 @@ TEST(ExecPaths, EmptyHookVectorTakesSameResultsAsInstrumented) {
     const RunOutput e = run_workload(name, nullptr, no_downgrade);
     EXPECT_TRUE(identical(a, e)) << name << " (downgrade suppressed)";
     EXPECT_FALSE(e.result.downgraded) << name;
-    EXPECT_EQ(e.result.tier_used, sim::EngineTier::kInstrumented) << name;
+    EXPECT_EQ(e.result.instrumented_warp_instrs, e.result.dyn_warp_instrs)
+        << name;
   }
 }
 
@@ -211,11 +190,9 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         LaunchOptions options;
-        // Mix all three tiers so the racing first decode (lowering and
-        // fusion included) serves every consumer.
-        options.engine = (t % 3 == 0)   ? sim::EngineTier::kThreaded
-                         : (t % 3 == 1) ? sim::EngineTier::kClean
-                                        : sim::EngineTier::kInstrumented;
+        // Mix both tiers so the racing first decode serves every consumer.
+        options.engine = t % 2 == 0 ? sim::EngineTier::kAuto
+                                    : sim::EngineTier::kInstrumented;
         outputs[t] = run_workload("scan", &shared, options);
       });
     }
@@ -227,18 +204,14 @@ TEST(ExecPaths, ConcurrentLaunchesShareOneDecodeCache) {
 }
 
 TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
-  // Profile-only launches must stay on the fastest tier — and the threaded
-  // tier's per-opcode counts must match ProfilerHook exactly, fused
-  // superinstructions included (gemm fuses IMAD.WIDE+LDG and ISETP+BRA
-  // pairs; each fused half must still count as its own opcode).
+  // Profile-only launches must stay on the clean tier — and its per-opcode
+  // counts must match ProfilerHook exactly.
   for (const std::string& name : wl::workload_names()) {
     sim::Profile native;
     LaunchOptions clean;
     clean.profile = &native;
-    clean.engine = sim::EngineTier::kThreaded;
-    const RunOutput threaded_run = run_workload(name, nullptr, clean);
-    EXPECT_EQ(threaded_run.result.tier_used, sim::EngineTier::kThreaded)
-        << name;
+    const RunOutput clean_run = run_workload(name, nullptr, clean);
+    EXPECT_EQ(clean_run.result.instrumented_warp_instrs, 0u) << name;
 
     sim::ProfilerHook hook;
     LaunchOptions instrumented;
@@ -365,10 +338,9 @@ InjectedOutput run_injected(const std::string& name,
   return {run, injector.effect()};
 }
 
-/// Observes a whole launch and records, per threaded-tier handler kind, its
-/// first dynamic instance: group, occurrence among that group's dynamic
-/// instructions, and dynamic index. Also counts dynamic instructions per
-/// group.
+/// Observes a whole launch and records, per opcode, its first dynamic
+/// instance: group, occurrence among that group's dynamic instructions, and
+/// dynamic index. Also counts dynamic instructions per group.
 class SiteFinderHook final : public sim::InstrumentHook {
  public:
   struct Site {
@@ -378,31 +350,24 @@ class SiteFinderHook final : public sim::InstrumentHook {
     u64 dyn_index = 0;
   };
 
-  explicit SiteFinderHook(const sim::DecodedProgram& dec) : dec_(dec) {}
-
   void on_before_instr(sim::InstrContext& ctx) override {
     const auto g = static_cast<std::size_t>(ctx.group);
-    Site& site =
-        first[static_cast<std::size_t>(dec_.at(ctx.warp_state->pc).handler)];
+    Site& site = first[static_cast<std::size_t>(ctx.instr->op)];
     if (!site.seen) site = {true, ctx.group, per_group[g], ctx.dyn_index};
     ++per_group[g];
   }
 
-  std::array<Site, sim::kHandlerCount> first{};
+  std::array<Site, sim::kOpcodeCount> first{};
   std::array<u64, sim::kInstrGroupCount> per_group{};
-
- private:
-  const sim::DecodedProgram& dec_;
 };
 
 TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
   // For every workload and instruction-targeted mode: the first and last
   // eligible occurrence, one past the end, and the first dynamic instance
-  // of every fusion head and tail the mode can strike. The default tier
-  // (trigger + threaded tail) and the clean pin (trigger + clean tail) must
-  // reproduce the pinned instrumented reference exactly.
+  // of every opcode the mode can strike. The default tier (trigger + clean
+  // tail) must reproduce the pinned instrumented reference exactly.
   using fi::InjectionMode;
-  std::set<sim::Handler> covered;
+  std::set<sim::Opcode> covered;
   sim::MachineConfig machine = arch::toy();
   machine.rf_ecc = ecc::EccMode::kDisabled;  // RF flips corrupt
   sim::MachineConfig secded = arch::toy();
@@ -414,25 +379,22 @@ TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
         run_injected(name, config, site, sim::EngineTier::kInstrumented);
     EXPECT_EQ(ref.run.result.instrumented_warp_instrs,
               ref.run.result.dyn_warp_instrs);
-    for (const sim::EngineTier tier :
-         {sim::EngineTier::kAuto, sim::EngineTier::kClean}) {
-      const InjectedOutput out = run_injected(name, config, site, tier);
-      const std::string what = name + " " + site.to_string() + " tier=" +
-                               sim::engine_tier_name(tier);
-      EXPECT_TRUE(identical(ref.run, out.run)) << what;
-      EXPECT_TRUE(same_effect(ref.effect, out.effect)) << what;
-      EXPECT_EQ(out.run.result.instrumented_warp_instrs, reached ? 1u : 0u)
-          << what;
-      if (!reached) {
-        EXPECT_FALSE(out.effect.activated) << what;
-      }
+    const InjectedOutput out =
+        run_injected(name, config, site, sim::EngineTier::kAuto);
+    const std::string what = name + " " + site.to_string();
+    EXPECT_TRUE(identical(ref.run, out.run)) << what;
+    EXPECT_TRUE(same_effect(ref.effect, out.effect)) << what;
+    EXPECT_EQ(out.run.result.instrumented_warp_instrs, reached ? 1u : 0u)
+        << what;
+    if (!reached) {
+      EXPECT_FALSE(out.effect.activated) << what;
     }
   };
 
   for (const std::string& name : wl::workload_names()) {
     auto workload = wl::make_workload(name);
     ASSERT_NE(workload, nullptr) << name;
-    SiteFinderHook finder(workload->program().decoded());
+    SiteFinderHook finder;
     LaunchOptions observe;
     observe.hooks.push_back(&finder);
     const RunOutput golden =
@@ -461,12 +423,9 @@ TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
         site.target_occurrence = occurrence;
         check(name, machine, site, occurrence < eligible);
       }
-      // The fusion heads and tails are the last handler ids.
-      for (int h = static_cast<int>(sim::Handler::kCmpBraHead);
-           h < sim::kHandlerCount; ++h) {
-        const auto handler = static_cast<sim::Handler>(h);
+      for (int op = 0; op < sim::kOpcodeCount; ++op) {
         const SiteFinderHook::Site& first =
-            finder.first[static_cast<std::size_t>(h)];
+            finder.first[static_cast<std::size_t>(op)];
         if (!first.seen) continue;
         fi::FaultSite site = base;
         if (mode == InjectionMode::kRf) {
@@ -477,7 +436,7 @@ TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
         } else {
           continue;
         }
-        covered.insert(handler);
+        covered.insert(static_cast<sim::Opcode>(op));
         check(name, machine, site, true);
       }
     }
@@ -500,11 +459,11 @@ TEST(ExecPaths, NativeTriggerMatchesPinnedInstrumented) {
       }
     }
   }
-  for (const sim::Handler tail :
-       {sim::Handler::kBraFusedTail, sim::Handler::kLdgFusedTail,
-        sim::Handler::kStgFusedTail, sim::Handler::kFFmaChainTail}) {
-    EXPECT_TRUE(covered.count(tail)) << "no site on handler "
-                                     << static_cast<int>(tail);
+  // A floor on the sweep's reach: a branch, a global load and store, and an
+  // FP32 FMA must each have been struck at least once.
+  for (const sim::Opcode op : {sim::Opcode::kBra, sim::Opcode::kLdg,
+                               sim::Opcode::kStg, sim::Opcode::kFFma}) {
+    EXPECT_TRUE(covered.count(op)) << "no site on " << sim::opcode_name(op);
   }
 }
 
@@ -530,7 +489,6 @@ TEST(ExecPaths, InjectorWithObservingHookTakesInstrumentedPath) {
   for (const InjectedOutput* out : {&profiled, &traced}) {
     EXPECT_TRUE(identical(ref.run, out->run));
     EXPECT_TRUE(same_effect(ref.effect, out->effect));
-    EXPECT_EQ(out->run.result.tier_used, sim::EngineTier::kInstrumented);
     EXPECT_FALSE(out->run.result.downgraded);
     EXPECT_EQ(out->run.result.instrumented_warp_instrs,
               out->run.result.dyn_warp_instrs);

@@ -466,11 +466,16 @@ TEST(ObsCampaign, TierInstructionCountersSumToJournalDyn) {
     const u64 instrumented =
         snap.counters.at("engine.dispatch.instrumented_winstrs");
     const u64 fast = snap.counters.at("engine.dispatch.fast_winstrs");
-    EXPECT_EQ(instrumented + fast, dyn) << sim::engine_tier_name(engine);
+    const u64 downgrades = snap.counters.at("engine.dispatch.downgrades");
+    EXPECT_EQ(instrumented + fast, dyn) << static_cast<int>(engine);
     EXPECT_EQ(snap.counters.count("campaign.path.instrumented"), 0u);
     if (engine == sim::EngineTier::kInstrumented) {
       EXPECT_EQ(fast, 0u);
+      EXPECT_EQ(downgrades, 0u);  // a pinned instrumented launch never does
     } else {
+      // At most one downgrade per launch, and nothing here is pruned.
+      EXPECT_LE(downgrades,
+                journal.value().records.size() - result.value().pruned);
       // One struck instruction per launch that reached its site.
       EXPECT_GE(instrumented, activated);
       EXPECT_LE(instrumented, config.num_injections);

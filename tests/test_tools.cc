@@ -1,6 +1,12 @@
 // Tests for the tooling layer: instruction tracer, XID mapping, the
-// statistical comparison helpers, and the strict CLI value parsers.
+// statistical comparison helpers, the strict CLI value parsers, and the
+// real gpufi binary's flag validation.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <string>
+#include <utility>
 
 #include "analysis/compare.h"
 #include "arch/arch.h"
@@ -190,6 +196,37 @@ TEST(CliArgs, ParseShardValidatesIndexAgainstCount) {
   EXPECT_FALSE(cli::parse_shard("1/"));
   EXPECT_FALSE(cli::parse_shard("-1/4"));
   EXPECT_FALSE(cli::parse_shard("1/4/2"));  // trailing garbage
+}
+
+/// Runs the gpufi binary (GFI_GPUFI_BIN) with `args` in the test's temp
+/// directory; returns its exit code and its stdout and stderr together.
+std::pair<int, std::string> run_gpufi(const std::string& args) {
+  const std::string cmd = "cd '" + ::testing::TempDir() + "' && '" +
+                          GFI_GPUFI_BIN + "' " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) out += buffer;
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(GpufiCli, EngineTakesOnlyAutoOrInstrumented) {
+  for (const char* tier : {"threaded", "clean"}) {
+    const auto [code, out] = run_gpufi(
+        std::string("campaign vecadd --arch=toy --injections=2 --engine=") +
+        tier);
+    EXPECT_EQ(code, 2) << tier << ": " << out;
+    EXPECT_NE(out.find("bad --engine"), std::string::npos) << out;
+    EXPECT_NE(out.find("usage: gpufi"), std::string::npos) << out;
+  }
+  for (const char* tier : {"auto", "instrumented"}) {
+    const auto [code, out] = run_gpufi(
+        std::string("campaign vecadd --arch=toy --injections=2 --engine=") +
+        tier);
+    EXPECT_EQ(code, 0) << tier << ": " << out;
+  }
 }
 
 }  // namespace

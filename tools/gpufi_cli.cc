@@ -59,6 +59,13 @@
 //   --quarantine=<i,j,...>   global injection indices to journal as
 //                            Quarantined instead of executing (the
 //                            supervisor passes this to relaunched workers)
+//   --engine=auto|instrumented
+//                            (campaign/run) execution tier. `auto` runs the
+//                            hook-free clean tier wherever no hook observes
+//                            and strikes each fault natively; `instrumented`
+//                            pins the hook-driven reference tier for every
+//                            instruction. Journals are byte-identical
+//                            either way                   (default auto)
 //
 // Adaptive planner flags (campaign/run):
 //   --stop-half-width=<f>    sequential early stopping: halt at the first
@@ -168,7 +175,6 @@
 #include "recover/abft.h"
 #include "analysis/static_bound.h"
 #include "sa/lint.h"
-#include "sassim/exec_threaded.h"
 #include "sassim/simulator.h"
 #include "sassim/tracer.h"
 #include "workloads/workload.h"
@@ -178,9 +184,9 @@ namespace {
 using namespace gfi;
 
 /// Bumped per stacked PR; `gpufi version` pairs it with the compiled SIMD
-/// and dispatch backends so bug reports pin down which execution path
-/// produced a journal.
-constexpr const char* kVersion = "0.10.0";
+/// backend so bug reports pin down which execution path produced a
+/// journal.
+constexpr const char* kVersion = "0.11.0";
 
 struct Options {
   std::string command;
@@ -206,7 +212,7 @@ struct Options {
   std::optional<u32> max_retries;
   std::string persist = "transient";
   std::string prune = "none";
-  std::string engine = "auto";  ///< --engine dispatch-tier pin (campaign)
+  std::string engine = "auto";  ///< --engine tier pin (campaign/run)
   bool json = false;
   std::optional<std::string> sarif;  ///< --sarif=<file> (lint)
   std::optional<std::string> metrics_out;
@@ -249,16 +255,8 @@ int usage() {
 }
 
 int cmd_version() {
-  std::printf("gpufi %s (simd=%s, dispatch=%s)\n", kVersion, simd::backend(),
-              sim::exec::dispatch_backend());
+  std::printf("gpufi %s (simd=%s)\n", kVersion, simd::backend());
   return 0;
-}
-
-sim::EngineTier engine_for(const std::string& name) {
-  if (name == "instrumented") return sim::EngineTier::kInstrumented;
-  if (name == "clean") return sim::EngineTier::kClean;
-  if (name == "threaded") return sim::EngineTier::kThreaded;
-  return sim::EngineTier::kAuto;  // parse() already validated the string
 }
 
 bool parse_flag(const std::string& arg, const std::string& name,
@@ -419,10 +417,8 @@ std::optional<Options> parse(int argc, char** argv) {
       continue;
     }
     if (parse_flag(arg, "engine", &value)) {
-      if (value != "auto" && value != "instrumented" && value != "clean" &&
-          value != "threaded") {
-        std::fprintf(stderr,
-                     "bad --engine '%s' (want instrumented|clean|threaded)\n",
+      if (value != "auto" && value != "instrumented") {
+        std::fprintf(stderr, "bad --engine '%s' (want auto|instrumented)\n",
                      value.c_str());
         return std::nullopt;
       }
@@ -700,7 +696,9 @@ std::optional<fi::CampaignConfig> campaign_config(const Options& options) {
                                  : fi::FaultPersistence::kTransient;
   fi::CampaignConfig config;
   config.workload = options.workload;
-  config.engine = engine_for(options.engine);
+  config.engine = options.engine == "instrumented"
+                      ? sim::EngineTier::kInstrumented
+                      : sim::EngineTier::kAuto;
   config.machine = *machine;
   config.model = {*mode, *flip, persistence};
   if (options.recover) {
@@ -969,8 +967,7 @@ int cmd_status(const Options& options) {
   const std::vector<std::string> names = outcome_names();
   // One line of engine provenance above the shard table (not repeated per
   // --watch refresh).
-  std::printf("engine: gpufi %s simd=%s dispatch=%s\n", kVersion,
-              simd::backend(), sim::exec::dispatch_backend());
+  std::printf("engine: gpufi %s simd=%s\n", kVersion, simd::backend());
   while (true) {
     auto shards = obs::load_status(options.workload);
     if (!shards.is_ok()) {
