@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <thread>
@@ -573,13 +572,9 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::unique_ptr<JournalWriter> writer;
   if (config.journal_path) {
     const std::string& path = *config.journal_path;
-    std::error_code ec;
-    const bool exists = std::filesystem::exists(path, ec) &&
-                        std::filesystem::file_size(path, ec) > 0;
-    Result<JournalContents> loaded =
-        exists ? Journal::load(path)
-               : Status::not_found("no journal at " + path);
-    if (exists && !loaded.is_ok() &&
+    Result<JournalContents> loaded = Journal::load(path);
+    if (!loaded.is_ok() &&
+        loaded.status().code() != StatusCode::kNotFound &&
         loaded.status().code() != StatusCode::kFailedPrecondition) {
       return loaded.status();  // kFailedPrecondition = torn header: recreate
     }
@@ -771,27 +766,31 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
 
     // The supervisor's wake channel (follow mode under `gpufi run` only).
     const int wake_fd = follow ? config.planner.wake_fd : -1;
+    // The published plan, tailed across waits: each wake reads only the
+    // lines appended since the last one.
+    std::optional<PlanFileTail> plan;
+    if (follow) plan.emplace(*config.planner.plan_path, config);
 
     // Waits until the supervisor publishes what block `c` needs: its
-    // allocation, or a stop at/before its start. The plan file is re-read on
+    // allocation, or a stop at/before its start. The plan file is polled on
     // every wake; the wake byte itself says nothing.
     auto wait_for_plan = [&](u64 c, u64 b0) -> Result<PlanEvent> {
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(config.planner.plan_wait_ms);
       while (true) {
-        auto plan_now = load_plan_file(*config.planner.plan_path, config);
-        if (plan_now.is_ok()) {
-          if (plan_now.value().stop_at && *plan_now.value().stop_at <= b0) {
+        if (Status polled = plan->poll(); polled.is_ok()) {
+          const PlanFileContents& now = plan->contents();
+          if (now.stop_at && *now.stop_at <= b0) {
             PlanEvent stop;
             stop.kind = PlanEvent::Kind::kStop;
-            stop.stop_at = *plan_now.value().stop_at;
+            stop.stop_at = *now.stop_at;
             return stop;
           }
-          auto it = plan_now.value().allocs.find(c);
-          if (it != plan_now.value().allocs.end()) return it->second;
-        } else if (plan_now.status().code() != StatusCode::kNotFound) {
-          return plan_now.status();
+          auto it = now.allocs.find(c);
+          if (it != now.allocs.end()) return it->second;
+        } else if (polled.code() != StatusCode::kNotFound) {
+          return polled;
         }
         if (std::chrono::steady_clock::now() >= deadline) {
           return Status::internal(
@@ -918,9 +917,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
         // plan file, so they may overshoot the boundary by however many
         // blocks they complete before noticing — the merge drops the
         // overshoot deterministically.
-        auto plan_now = load_plan_file(*config.planner.plan_path, config);
-        if (plan_now.is_ok() && plan_now.value().stop_at) {
-          stop_at = plan_now.value().stop_at;
+        if (plan->poll().is_ok() && plan->contents().stop_at) {
+          stop_at = plan->contents().stop_at;
           effective = std::min<u64>(effective, *stop_at);
         }
       }

@@ -4,13 +4,8 @@
 #include <fstream>
 #include <sstream>
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
-
 #include "common/failpoint.h"
+#include "common/jsonl.h"
 #include "common/logging.h"
 #include "fi/journal.h"
 
@@ -144,26 +139,12 @@ Result<Campaign::Golden> GoldenCache::get_or_run(
     const bool inject_fail =
         fp::enabled() &&
         fp::hit("golden_cache.persist").action == fp::Action::kErr;
-    // Write-then-rename so a concurrent shard never reads a torn entry; the
-    // pid suffix keeps two shards' temp files from colliding.
-    const std::string tmp_path =
-        file_path + ".tmp-" + std::to_string(static_cast<long>(getpid()));
-    std::ofstream out(tmp_path, std::ios::trunc);
-    bool persisted = false;
-    if (out && !inject_fail) {
-      out << golden_line(key, golden.value()) << '\n';
-      out.close();
-      if (out.good()) {
-        std::filesystem::rename(tmp_path, file_path, ec);
-        persisted = !ec;
-      }
-    }
-    if (!persisted) {
+    // Replaced whole so a concurrent shard never reads a torn entry.
+    const std::string line = golden_line(key, golden.value()) + "\n";
+    if (inject_fail || !jsonl::replace_file(file_path, line).is_ok()) {
       GFI_LOG(kWarn) << "golden cache: cannot persist " << file_path
                      << (inject_fail ? " [failpoint]" : "")
                      << "; continuing memory-only";
-      std::error_code rm;
-      std::filesystem::remove(tmp_path, rm);
     }
   }
   return golden;

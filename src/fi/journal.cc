@@ -1,16 +1,8 @@
 #include "fi/journal.h"
 
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <algorithm>
 #include <map>
 
-#include "common/failpoint.h"
 #include "common/jsonl.h"
 #include "fi/planner.h"
 
@@ -426,152 +418,76 @@ Result<JournalContents> Journal::load(const std::string& path) {
   return std::move(tail).take();
 }
 
-void JournalTail::restart() {
-  if (contents_.valid_bytes > 0) ++restarts_;
-  contents_ = JournalContents{};
-  have_header_ = false;
-}
-
 Status JournalTail::poll() {
-  std::FILE* file = std::fopen(path_.c_str(), "rb");
-  if (!file) {
-    restart();  // a vanished file keeps nothing it held
-    return Status::not_found("cannot open journal " + path_);
-  }
-  const long size =
-      std::fseek(file, 0, SEEK_END) == 0 ? std::ftell(file) : -1;
-  if (size >= 0 && static_cast<u64>(size) < contents_.valid_bytes) restart();
-  const u64 start = contents_.valid_bytes;
-  std::string data;
-  if (size > static_cast<long>(start) &&
-      std::fseek(file, static_cast<long>(start), SEEK_SET) == 0) {
-    data.resize(static_cast<std::size_t>(size) - start);
-    data.resize(std::fread(data.data(), 1, data.size(), file));
-  }
-  std::fclose(file);
-  bytes_read_ += data.size();
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) break;  // torn trailing record: drop
-    const std::string line = data.substr(pos, newline - pos);
-    if (!line.empty()) {
-      if (!have_header_) {
-        auto header = Journal::parse_header(line);
-        if (!header.is_ok()) return header.status();
-        contents_.header = std::move(header).take();
-        have_header_ = true;
-      } else {
-        Status parsed;
+  Status polled = tail_.poll(
+      [this](const std::string& line) -> Status {
+        if (!have_header_) {
+          auto header = Journal::parse_header(line);
+          if (!header.is_ok()) return header.status();
+          contents_.header = std::move(header).take();
+          have_header_ = true;
+          return Status::ok();
+        }
         if (is_plan_line(line)) {
           auto event = parse_plan_event(line);
-          parsed = event.status();
           if (event.is_ok()) contents_.plan.push_back(event.value());
-        } else {
-          auto record = Journal::parse_record(line);
-          parsed = record.status();
-          if (record.is_ok()) {
-            auto [index, value] = std::move(record).take();
-            value.site.model = {*mode_from_name(contents_.header.mode),
-                                *flip_from_name(contents_.header.flip),
-                                *persist_from_name(contents_.header.persist)};
-            contents_.records.emplace_back(index, value);
-          }
+          return event.status();
         }
-        if (!parsed.is_ok()) {
-          // A malformed line is only tolerable as the file's torn tail.
-          if (newline + 1 == data.size()) break;
-          return Status::internal("journal " + path_ + " is corrupt: " +
-                                  parsed.message());
-        }
-      }
-    }
-    pos = newline + 1;
-    contents_.valid_bytes = start + pos;
-  }
+        auto record = Journal::parse_record(line);
+        if (!record.is_ok()) return record.status();
+        auto [index, value] = std::move(record).take();
+        value.site.model = {*mode_from_name(contents_.header.mode),
+                            *flip_from_name(contents_.header.flip),
+                            *persist_from_name(contents_.header.persist)};
+        contents_.records.emplace_back(index, value);
+        return Status::ok();
+      },
+      [this] {
+        contents_ = JournalContents{};
+        have_header_ = false;
+      });
+  contents_.valid_bytes = tail_.offset();
+  if (!polled.is_ok()) return polled;
   if (!have_header_) {
     // Distinct code: the writer died before the header line hit the disk, so
     // the file holds no data — callers may safely recreate it.
-    return Status::failed_precondition("journal " + path_ +
+    return Status::failed_precondition("journal " + tail_.path() +
                                        " has no complete header line");
   }
   return Status::ok();
 }
 
-JournalWriter::~JournalWriter() {
-  if (file_) std::fclose(file_);
-}
+namespace {
+
+constexpr jsonl::WriterSites kJournalSites{"journal.append", "journal.flush"};
+
+}  // namespace
+
+JournalWriter::~JournalWriter() = default;
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::create(
     const std::string& path, const JournalHeader& header) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (!file) {
-    return Status::internal("cannot create journal " + path + ": " +
-                            std::strerror(errno));
-  }
-  const std::string line = Journal::header_line(header) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file) != line.size() ||
-      std::fflush(file) != 0) {
-    std::fclose(file);
-    return Status::internal("cannot write journal header to " + path);
-  }
-  return std::unique_ptr<JournalWriter>(new JournalWriter(file));
+  auto log =
+      jsonl::Writer::create(path, Journal::header_line(header), kJournalSites);
+  if (!log.is_ok()) return log.status();
+  return std::unique_ptr<JournalWriter>(
+      new JournalWriter(std::move(log).take()));
 }
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::open_append(
     const std::string& path, u64 valid_bytes) {
-  std::error_code ec;
-  std::filesystem::resize_file(path, valid_bytes, ec);
-  if (ec) {
-    return Status::internal("cannot truncate journal " + path + ": " +
-                            ec.message());
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (!file) {
-    return Status::internal("cannot open journal " + path + ": " +
-                            std::strerror(errno));
-  }
-  return std::unique_ptr<JournalWriter>(new JournalWriter(file));
+  auto log = jsonl::Writer::open_append(path, valid_bytes, kJournalSites);
+  if (!log.is_ok()) return log.status();
+  return std::unique_ptr<JournalWriter>(
+      new JournalWriter(std::move(log).take()));
 }
 
 Status JournalWriter::append(u64 index, const InjectionRecord& record) {
-  return append_line(Journal::record_line(index, record));
+  return log_->append(Journal::record_line(index, record));
 }
 
 Status JournalWriter::append_plan(const PlanEvent& event) {
-  return append_line(plan_event_line(event));
-}
-
-Status JournalWriter::append_line(const std::string& payload) {
-  const std::string line = payload + "\n";
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (fp::enabled()) {
-    const fp::Hit f = fp::hit("journal.append");
-    if (f.action == fp::Action::kErr) {
-      return Status::internal(
-          "journal append failed: No space left on device [failpoint]");
-    }
-    if (f.action == fp::Action::kTorn) {
-      // Model a crash mid-write: half the line reaches the disk, then the
-      // process dies without running destructors. Resume must drop this
-      // torn tail and re-run the injection.
-      std::fwrite(line.data(), 1, line.size() / 2, file_);
-      std::fflush(file_);
-      std::_Exit(fp::kKillExitCode);
-    }
-  }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fflush(file_) != 0) {
-    return Status::internal("journal append failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  if (fp::enabled() &&
-      fp::hit("journal.flush").action == fp::Action::kErr) {
-    return Status::internal("journal flush failed: Input/output error "
-                            "[failpoint]");
-  }
-  return Status::ok();
+  return log_->append(plan_event_line(event));
 }
 
 namespace {
@@ -781,61 +697,43 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
 
 Status write_merged_journal(const std::string& path,
                             const MergedCampaign& merged) {
-  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::internal("cannot create " + tmp + ": " +
-                              std::strerror(errno));
+  // Interleave plan lines exactly the way a live campaign journals them —
+  // an allocation line precedes its block's records, the stop line comes
+  // last — so a complete merge of an adaptive campaign is byte-identical to
+  // the unsharded journal.
+  std::map<u64, const PlanEvent*> pending_allocs;
+  const PlanEvent* stop = nullptr;
+  for (const PlanEvent& event : merged.plan) {
+    if (event.kind == PlanEvent::Kind::kAlloc) {
+      pending_allocs[event.checkpoint] = &event;
+    } else {
+      stop = &event;
     }
-    out << Journal::header_line(merged.header) << '\n';
-    // Interleave plan lines exactly the way a live campaign journals them —
-    // an allocation line precedes its block's records, the stop line comes
-    // last — so a complete merge of an adaptive campaign is byte-identical
-    // to the unsharded journal.
-    std::map<u64, const PlanEvent*> pending_allocs;
-    const PlanEvent* stop = nullptr;
-    for (const PlanEvent& event : merged.plan) {
-      if (event.kind == PlanEvent::Kind::kAlloc) {
-        pending_allocs[event.checkpoint] = &event;
-      } else {
-        stop = &event;
-      }
-    }
-    const u64 ckpt = merged.header.planner.checkpoint_every;
+  }
+  const u64 ckpt = merged.header.planner.checkpoint_every;
+  // Streamed line by line: a merged journal is never held whole in memory.
+  return jsonl::replace_file(path, [&](std::FILE* file) {
+    bool ok = true;
+    auto put = [&](const std::string& line) {
+      ok = ok &&
+           std::fwrite(line.data(), 1, line.size(), file) == line.size() &&
+           std::fputc('\n', file) != EOF;
+    };
+    put(Journal::header_line(merged.header));
     for (std::size_t k = 0; k < merged.records.size(); ++k) {
-      if (ckpt > 0) {
-        while (!pending_allocs.empty() &&
-               pending_allocs.begin()->first * ckpt <= merged.indices[k]) {
-          out << plan_event_line(*pending_allocs.begin()->second) << '\n';
-          pending_allocs.erase(pending_allocs.begin());
-        }
+      while (ckpt > 0 && !pending_allocs.empty() &&
+             pending_allocs.begin()->first * ckpt <= merged.indices[k]) {
+        put(plan_event_line(*pending_allocs.begin()->second));
+        pending_allocs.erase(pending_allocs.begin());
       }
-      out << Journal::record_line(merged.indices[k], merged.records[k])
-          << '\n';
+      put(Journal::record_line(merged.indices[k], merged.records[k]));
     }
     // A partial merge can leave allocations whose records are all missing;
     // they still belong in the file, before the stop line.
-    for (const auto& [c, event] : pending_allocs) {
-      out << plan_event_line(*event) << '\n';
-    }
-    if (stop != nullptr) out << plan_event_line(*stop) << '\n';
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Status::internal("write to " + tmp + " failed: " +
-                              std::strerror(errno));
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Status::internal("cannot rename " + tmp + " to " + path + ": " +
-                            ec.message());
-  }
-  return Status::ok();
+    for (const auto& [c, event] : pending_allocs) put(plan_event_line(*event));
+    if (stop != nullptr) put(plan_event_line(*stop));
+    return ok;
+  });
 }
 
 std::string golden_line(const std::string& key,

@@ -17,12 +17,12 @@
 
 #include <array>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/jsonl.h"
 #include "common/status.h"
 #include "fi/campaign.h"
 
@@ -92,9 +92,8 @@ class Journal {
 };
 
 /// Incremental reader of a journal that is still being written (the
-/// supervisor's view of a live shard). Each poll() reads only the bytes
-/// appended since the previous one, so following a journal to its end reads
-/// it about once, where a Journal::load per poll re-reads it every time.
+/// supervisor's view of a live shard), over jsonl::Tail: each poll() reads
+/// only the bytes appended since the previous one.
 ///
 /// After every poll() the tail agrees with a fresh Journal::load of the
 /// file's current bytes: the same status, and on success the same header,
@@ -106,7 +105,7 @@ class Journal {
 /// tail then starts over from byte 0.
 class JournalTail {
  public:
-  explicit JournalTail(std::string path) : path_(std::move(path)) {}
+  explicit JournalTail(std::string path) : tail_(std::move(path)) {}
 
   Status poll();
 
@@ -114,21 +113,18 @@ class JournalTail {
   JournalContents take() && { return std::move(contents_); }
   /// Times the tail started over from byte 0. A consumer that remembers a
   /// position in contents().records must start over when this changes.
-  [[nodiscard]] u64 restarts() const { return restarts_; }
+  [[nodiscard]] u64 restarts() const { return tail_.restarts(); }
   /// Bytes read from the file over the tail's lifetime.
-  [[nodiscard]] u64 bytes_read() const { return bytes_read_; }
+  [[nodiscard]] u64 bytes_read() const { return tail_.bytes_read(); }
 
  private:
-  void restart();
-
-  std::string path_;
+  jsonl::Tail tail_;
   JournalContents contents_;
   bool have_header_ = false;
-  u64 restarts_ = 0;
-  u64 bytes_read_ = 0;
 };
 
-/// Append-only writer; one flushed line per record. Thread-safe.
+/// Append-only writer over jsonl::Writer; one flushed line per record, with
+/// the failpoint sites `journal.append` and `journal.flush`. Thread-safe.
 class JournalWriter {
  public:
   /// Creates (truncating) `path` and writes the header line.
@@ -151,12 +147,10 @@ class JournalWriter {
   Status append_plan(const PlanEvent& event);
 
  private:
-  explicit JournalWriter(std::FILE* file) : file_(file) {}
+  explicit JournalWriter(std::unique_ptr<jsonl::Writer> log)
+      : log_(std::move(log)) {}
 
-  Status append_line(const std::string& line);
-
-  std::FILE* file_ = nullptr;
-  std::mutex mutex_;
+  std::unique_ptr<jsonl::Writer> log_;
 };
 
 /// A campaign reassembled from shard journals: records in global index

@@ -1,11 +1,6 @@
 #include "fi/planner.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/jsonl.h"
 
@@ -192,81 +187,54 @@ std::string plan_file_header(const CampaignConfig& config) {
   return out;
 }
 
-Result<PlanFileContents> load_plan_file(const std::string& path,
-                                        const CampaignConfig& config) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("no plan file at " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
-
-  PlanFileContents contents;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) break;  // torn trailing line: drop
-    const std::string line = data.substr(pos, newline - pos);
-    pos = newline + 1;
-    if (line.empty()) continue;
-    if (!have_header) {
-      jsonl::Fields fields;
-      if (!jsonl::parse_fields(line, &fields) ||
-          jsonl::get_str(fields, "plan").value_or("") != kPlanMagic) {
-        return Status::failed_precondition(path + " is not a gpufi plan file");
-      }
-      const u64 seed = jsonl::get_u64(fields, "seed").value_or(0);
-      const u64 num = jsonl::get_u64(fields, "num_injections").value_or(0);
-      const u64 ckpt = jsonl::get_u64(fields, "ckpt").value_or(0);
-      if (seed != config.seed || num != config.num_injections ||
-          ckpt != config.planner.checkpoint_every) {
-        return Status::failed_precondition(
-            path + " was written for a different campaign (seed " +
-            std::to_string(seed) + ", " + std::to_string(num) +
-            " injections, checkpoint " + std::to_string(ckpt) + ")");
-      }
-      contents.seed = seed;
-      contents.num_injections = num;
-      contents.checkpoint_every = ckpt;
-      have_header = true;
-      continue;
-    }
-    auto event = parse_plan_event(line);
-    if (!event.is_ok()) {
-      // Only a torn tail is tolerable; a malformed line with lines after
-      // it is corruption.
-      if (pos >= data.size()) break;
-      return Status::internal("plan file " + path + " is corrupt: " +
-                              event.status().message());
-    }
-    if (event.value().kind == PlanEvent::Kind::kAlloc) {
-      contents.allocs[event.value().checkpoint] = event.value();
-    } else {
-      contents.stop_at = event.value().stop_at;
-    }
-  }
-  if (!have_header) {
+Status PlanFileTail::poll() {
+  const std::string& path = tail_.path();
+  Status polled = tail_.poll(
+      [&](const std::string& line) -> Status {
+        if (!have_header_) {
+          jsonl::Fields fields;
+          if (!jsonl::parse_fields(line, &fields) ||
+              jsonl::get_str(fields, "plan").value_or("") != kPlanMagic) {
+            return Status::failed_precondition(path +
+                                               " is not a gpufi plan file");
+          }
+          if (line != header_) {
+            return Status::failed_precondition(
+                path + " was written for a different campaign (seed " +
+                jsonl::get_str(fields, "seed").value_or("?") + ", " +
+                jsonl::get_str(fields, "num_injections").value_or("?") +
+                " injections, checkpoint " +
+                jsonl::get_str(fields, "ckpt").value_or("?") + ")");
+          }
+          have_header_ = true;
+          return Status::ok();
+        }
+        auto event = parse_plan_event(line);
+        if (!event.is_ok()) return event.status();
+        if (event.value().kind == PlanEvent::Kind::kAlloc) {
+          contents_.allocs[event.value().checkpoint] = event.value();
+        } else {
+          contents_.stop_at = event.value().stop_at;
+        }
+        return Status::ok();
+      },
+      [this] {
+        contents_ = PlanFileContents{};
+        have_header_ = false;
+      });
+  contents_.valid_bytes = tail_.offset();
+  if (!polled.is_ok()) return polled;
+  if (!have_header_) {
     return Status::failed_precondition(path + " has no plan header line");
   }
-  return contents;
+  return Status::ok();
 }
 
-Status append_plan_event(const std::string& path, const PlanEvent& event) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (!file) {
-    return Status::internal("cannot open plan file " + path + ": " +
-                            std::strerror(errno));
-  }
-  const std::string line = plan_event_line(event) + "\n";
-  const bool ok =
-      std::fwrite(line.data(), 1, line.size(), file) == line.size() &&
-      std::fflush(file) == 0;
-  std::fclose(file);
-  if (!ok) {
-    return Status::internal("cannot append to plan file " + path + ": " +
-                            std::strerror(errno));
-  }
-  return Status::ok();
+Result<PlanFileContents> load_plan_file(const std::string& path,
+                                        const CampaignConfig& config) {
+  PlanFileTail tail(path, config);
+  if (Status polled = tail.poll(); !polled.is_ok()) return polled;
+  return tail.contents();
 }
 
 }  // namespace gfi::fi

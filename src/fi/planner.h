@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/jsonl.h"
 #include "common/status.h"
 #include "fi/campaign.h"
 
@@ -119,29 +120,44 @@ bool is_plan_line(const std::string& line);
 //
 // `gpufi run` publishes supervisor decisions to `<dir>/plan.jsonl`: a
 // header line binding the file to the campaign, then one PlanEvent line
-// per decision, appended and flushed as each global prefix completes.
-// Workers poll it (Campaign follows it when CampaignConfig::planner
-// .plan_path is set); it uses the same line format as journaled plan
-// events, so the two logs stay trivially comparable.
+// per decision, appended and flushed (jsonl::Writer, failpoint site
+// `plan.append`) as each global prefix completes. Workers follow it with a
+// PlanFileTail (Campaign does when CampaignConfig::planner.plan_path is
+// set); it uses the same line format as journaled plan events, so the two
+// logs stay trivially comparable.
 
 struct PlanFileContents {
-  u64 seed = 0;
-  u64 num_injections = 0;
-  u64 checkpoint_every = 0;
   std::map<u64, PlanEvent> allocs;  ///< keyed by checkpoint ordinal
   std::optional<u64> stop_at;
+  u64 valid_bytes = 0;  ///< where a reopening writer truncates the file
 };
 
 /// The plan-file header line for a campaign (no trailing newline).
 std::string plan_file_header(const CampaignConfig& config);
 
-/// Loads a plan file, tolerating a torn trailing line (the supervisor may
-/// die mid-append; everything before the tear is still authoritative).
-/// kNotFound when the file does not exist yet.
+/// Incremental reader of a plan file, over jsonl::Tail: a following worker
+/// keeps one across its waits and reads each published line once. A torn
+/// trailing line is left for the next poll (the supervisor may die
+/// mid-append; everything before the tear is still authoritative).
+class PlanFileTail {
+ public:
+  PlanFileTail(std::string path, const CampaignConfig& config)
+      : tail_(std::move(path)), header_(plan_file_header(config)) {}
+
+  /// kNotFound while the file does not exist yet; kFailedPrecondition for a
+  /// file written for a different campaign or without a header line.
+  Status poll();
+  [[nodiscard]] const PlanFileContents& contents() const { return contents_; }
+
+ private:
+  jsonl::Tail tail_;
+  std::string header_;  ///< the header this campaign's plan file starts with
+  PlanFileContents contents_;
+  bool have_header_ = false;
+};
+
+/// One PlanFileTail::poll() of a fresh tail.
 Result<PlanFileContents> load_plan_file(const std::string& path,
                                         const CampaignConfig& config);
-
-/// Appends one decision line (+ flush) to the plan file.
-Status append_plan_event(const std::string& path, const PlanEvent& event);
 
 }  // namespace gfi::fi

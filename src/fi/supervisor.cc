@@ -15,11 +15,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/backoff.h"
@@ -105,20 +103,6 @@ u64 slice_size(u64 n, u32 shards, u32 s) {
   return s < n ? (n - s - 1) / shards + 1 : 0;
 }
 
-/// The distinct global indices journaled for a shard (empty on any journal
-/// problem — a torn header just means "no progress yet").
-std::set<u64> journaled_indices(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) return {};
-  auto loaded = Journal::load(path);
-  if (!loaded.is_ok()) return {};
-  std::set<u64> indices;
-  for (const auto& [index, record] : loaded.value().records) {
-    indices.insert(index);
-  }
-  return indices;
-}
-
 /// Lowest index of shard `s`'s slice not yet journaled — for a crashed
 /// single-threaded worker (FIFO pool), the injection it died executing.
 std::optional<u64> lowest_unjournaled(u64 n, u32 shards, u32 s,
@@ -129,49 +113,19 @@ std::optional<u64> lowest_unjournaled(u64 n, u32 shards, u32 s,
   return std::nullopt;
 }
 
-/// Append-only flushed event log mirroring the journal's crash-safety
-/// discipline: one self-contained JSONL line per supervisor decision.
-class StateLog {
- public:
-  static Result<std::unique_ptr<StateLog>> open(const std::string& path,
-                                                bool existing) {
-    std::FILE* file = std::fopen(path.c_str(), existing ? "ab" : "wb");
-    if (!file) {
-      return Status::internal("cannot open supervisor state " + path + ": " +
-                              std::strerror(errno));
-    }
-    return std::unique_ptr<StateLog>(new StateLog(file));
+/// Appends one supervisor decision to the state log. State-log IO failure
+/// must not kill the campaign: the log exists to make --resume smarter, and
+/// the quarantine set is additionally re-derivable from worker journals.
+void log_event(jsonl::Writer& log, const std::string& ev,
+               const std::vector<std::pair<const char*, u64>>& fields) {
+  std::string line = "{";
+  jsonl::append_str(line, "ev", ev);
+  for (const auto& [key, value] : fields) {
+    jsonl::append_u64(line, key, value);
   }
-
-  ~StateLog() {
-    if (file_) std::fclose(file_);
-  }
-
-  void write(const std::string& line) {
-    const std::string out = line + "\n";
-    // State-log IO failure must not kill the campaign: the log exists to
-    // make --resume smarter, and the quarantine set is additionally
-    // re-derivable from worker journals.
-    if (std::fwrite(out.data(), 1, out.size(), file_) == out.size()) {
-      std::fflush(file_);
-    }
-  }
-
-  void event(const std::string& ev,
-             const std::vector<std::pair<const char*, u64>>& fields) {
-    std::string line = "{";
-    jsonl::append_str(line, "ev", ev);
-    for (const auto& [key, value] : fields) {
-      jsonl::append_u64(line, key, value);
-    }
-    line += '}';
-    write(line);
-  }
-
- private:
-  explicit StateLog(std::FILE* file) : file_(file) {}
-  std::FILE* file_ = nullptr;
-};
+  line += '}';
+  (void)log.append(line);
+}
 
 std::string state_header_line(const SupervisorConfig& config) {
   std::string out = "{";
@@ -185,19 +139,18 @@ std::string state_header_line(const SupervisorConfig& config) {
 }
 
 /// Replays an existing state file: validates the header against `config`
-/// and reconstructs the quarantine set. Tolerates a torn trailing line.
-Status replay_state(const std::string& path, const SupervisorConfig& config,
-                    std::set<u64>* quarantine) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    return Status::internal("cannot read supervisor state " + path);
-  }
-  std::string line;
+/// and reconstructs the quarantine set. Returns the end of the last line
+/// replayed, where the reopened state log continues.
+Result<u64> replay_state(const std::string& path,
+                         const SupervisorConfig& config,
+                         std::set<u64>* quarantine) {
+  jsonl::Tail tail(path);
   bool have_header = false;
-  while (std::getline(file, line)) {
-    if (line.empty()) continue;
+  Status polled = tail.poll([&](const std::string& line) -> Status {
     jsonl::Fields fields;
-    if (!jsonl::parse_fields(line, &fields)) continue;  // torn tail
+    if (!jsonl::parse_fields(line, &fields)) {
+      return Status::invalid_argument("supervisor state: not a JSON object");
+    }
     if (!have_header) {
       if (jsonl::get_str(fields, "supervisor").value_or("") != kStateMagic) {
         return Status::failed_precondition(
@@ -217,18 +170,23 @@ Status replay_state(const std::string& path, const SupervisorConfig& config,
             std::to_string(seed) + ")");
       }
       have_header = true;
-      continue;
+      return Status::ok();
     }
     if (jsonl::get_str(fields, "ev").value_or("") == "quarantine") {
-      if (auto index = jsonl::get_u64(fields, "index")) {
-        quarantine->insert(*index);
+      auto index = jsonl::get_u64(fields, "index");
+      if (!index) {
+        return Status::invalid_argument(
+            "supervisor state: quarantine event without an index");
       }
+      quarantine->insert(*index);
     }
-  }
+    return Status::ok();
+  });
+  if (!polled.is_ok()) return polled;
   if (!have_header) {
     return Status::failed_precondition(path + " has no state header");
   }
-  return Status::ok();
+  return tail.offset();
 }
 
 std::string quarantine_flag(const std::set<u64>& quarantine) {
@@ -364,17 +322,18 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
         spath + " exists — a supervisor already ran this directory; pass "
         "--resume to continue it (or use a fresh --dir)");
   }
-  if (state_exists) {
-    if (Status replayed = replay_state(spath, config, &quarantine);
-        !replayed.is_ok()) {
-      return replayed;
-    }
-  }
-  auto log_opened = StateLog::open(spath, state_exists);
+  Result<u64> replayed = u64{0};
+  if (state_exists) replayed = replay_state(spath, config, &quarantine);
+  if (!replayed.is_ok()) return replayed.status();
+  constexpr jsonl::WriterSites kStateSites{"state.append"};
+  auto log_opened =
+      state_exists
+          ? jsonl::Writer::open_append(spath, replayed.value(), kStateSites)
+          : jsonl::Writer::create(spath, state_header_line(config),
+                                  kStateSites);
   if (!log_opened.is_ok()) return log_opened.status();
-  std::unique_ptr<StateLog> log = std::move(log_opened).take();
-  if (!state_exists) log->write(state_header_line(config));
-  if (state_exists) log->event("resume", {});
+  const std::unique_ptr<jsonl::Writer> log = std::move(log_opened).take();
+  if (state_exists) log_event(*log, "resume", {});
 
   char host[256] = "unknown";
   (void)::gethostname(host, sizeof(host) - 1);
@@ -395,6 +354,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   // computes every stop/alloc decision exactly as an unsharded campaign
   // would, publishing each to the plan file the workers follow.
   const std::string ppath = plan_path(config.dir);
+  std::unique_ptr<jsonl::Writer> plan_log;
   std::optional<Planner> planner;
   std::optional<Campaign::Golden> golden;
   std::set<u64> published_allocs;
@@ -415,35 +375,83 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     auto planner_or = Planner::create(config.campaign, golden->profile);
     if (!planner_or.is_ok()) return planner_or.status();
     planner.emplace(std::move(planner_or).take());
-    if (std::filesystem::exists(ppath, ec) &&
-        std::filesystem::file_size(ppath, ec) > 0) {
-      // Resume: already-published decisions are authoritative — they were
-      // computed from the identical prefix and must not be re-derived.
-      auto existing = load_plan_file(ppath, config.campaign);
-      if (!existing.is_ok()) return existing.status();
-      for (const auto& [c, alloc] : existing.value().allocs) {
-        published_allocs.insert(c);
-      }
-      plan_stop = existing.value().stop_at;
-    } else {
-      std::ofstream out(ppath, std::ios::binary | std::ios::trunc);
-      out << plan_file_header(config.campaign) << '\n';
-      out.flush();
-      if (!out) return Status::internal("cannot create plan file " + ppath);
+    // Resume: already-published decisions are authoritative — they were
+    // computed from the identical prefix and must not be re-derived.
+    const bool resumed = std::filesystem::exists(ppath, ec) &&
+                         std::filesystem::file_size(ppath, ec) > 0;
+    Result<PlanFileContents> existing = PlanFileContents{};
+    if (resumed) existing = load_plan_file(ppath, config.campaign);
+    if (!existing.is_ok()) return existing.status();
+    for (const auto& [c, alloc] : existing.value().allocs) {
+      published_allocs.insert(c);
     }
+    plan_stop = existing.value().stop_at;
+    constexpr jsonl::WriterSites kPlanSites{"plan.append"};
+    auto plan_opened =
+        resumed ? jsonl::Writer::open_append(
+                      ppath, existing.value().valid_bytes, kPlanSites)
+                : jsonl::Writer::create(
+                      ppath, plan_file_header(config.campaign), kPlanSites);
+    if (!plan_opened.is_ok()) return plan_opened.status();
+    plan_log = std::move(plan_opened).take();
   }
 
   auto journal_of = [&](u32 s) { return shard_journal_path(config.dir, s); };
   auto lease_of = [&](u32 s) {
     return lease_path_for_journal(journal_of(s));
   };
+  // Takes (or refreshes) shard s's lease for another TTL from `now`.
+  auto take_lease = [&](u32 s, u64 now) {
+    Lease lease;
+    lease.owner = owner;
+    lease.pid = static_cast<u64>(::getpid());
+    lease.shard = s;
+    lease.expires_ms = now + config.lease_ttl_ms;
+    return acquire_lease(lease_of(s), lease, now);
+  };
+
+  // Every shard-journal read before the final merge goes through that
+  // shard's tail, so each appended byte is read about once. `journaled[s]`
+  // holds the distinct indices shard s has journaled; `pooled` holds the
+  // records the planner has yet to observe, pooled from every shard (the
+  // first record wins on a duplicated index, as in file order).
+  std::vector<JournalTail> tails;
+  for (u32 s = 0; s < config.shards; ++s) tails.emplace_back(journal_of(s));
+  std::vector<std::size_t> folded(config.shards, 0);  ///< records folded in
+  std::vector<u64> tail_restarts(config.shards, 0);
+  std::vector<std::set<u64>> journaled(config.shards);
+  std::map<u64, InjectionRecord> pooled;
+  // Polls shard s's tail, folds what every tail gained into `journaled` and
+  // `pooled`, and returns the distinct indices s has journaled: none while
+  // its journal is missing, headerless or corrupt (a torn header just means
+  // "no progress yet").
+  const std::set<u64> kNone;
+  auto read_journal = [&](u32 s) -> const std::set<u64>& {
+    const bool ok = tails[s].poll().is_ok();
+    if (tails[s].restarts() != tail_restarts[s]) {
+      tail_restarts[s] = tails[s].restarts();
+      journaled[s].clear();
+      pooled.clear();  // pools every shard: rebuild it from all of them
+      folded.assign(config.shards, 0);
+    }
+    for (u32 t = 0; t < config.shards; ++t) {
+      const auto& records = tails[t].contents().records;
+      for (; folded[t] < records.size(); ++folded[t]) {
+        const auto& [index, record] = records[folded[t]];
+        journaled[t].insert(index);
+        if (planner && index >= plan_frontier) pooled.emplace(index, record);
+      }
+    }
+    return ok ? journaled[s] : kNone;
+  };
+
   auto shard_complete = [&](u32 s) {
     // A planner stop shrinks every slice: only indices below the boundary
     // belong to the campaign (overshoot is dropped at merge).
     const u64 effective =
         plan_stop ? std::min<u64>(*plan_stop, config.num_injections)
                   : config.num_injections;
-    const std::set<u64> done = journaled_indices(journal_of(s));
+    const std::set<u64>& done = read_journal(s);
     u64 in_range = 0;
     for (u64 i : done) {
       if (i < effective) ++in_range;
@@ -454,7 +462,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   // Crash bookkeeping shared by "worker exited badly", "worker exited
   // cleanly but incomplete", and "worker hung and was killed".
   auto handle_crash = [&](ShardState& shard, int exit_code) {
-    const std::set<u64> done = journaled_indices(journal_of(shard.index));
+    const std::set<u64>& done = read_journal(shard.index);
     const bool progress = done.size() > shard.records_at_launch;
     const std::optional<u64> candidate = lowest_unjournaled(
         config.num_injections, config.shards, shard.index, done);
@@ -464,11 +472,11 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       shard.poison_candidate = candidate;
       shard.poison_streak = candidate ? 1 : 0;
     }
-    log->event("crash",
-               {{"shard", shard.index},
-                {"exit", static_cast<u64>(static_cast<u32>(exit_code))},
-                {"records", done.size()},
-                {"candidate", candidate.value_or(~0ULL)}});
+    log_event(*log, "crash",
+              {{"shard", shard.index},
+               {"exit", static_cast<u64>(static_cast<u32>(exit_code))},
+               {"records", done.size()},
+               {"candidate", candidate.value_or(~0ULL)}});
     bool quarantined_now = false;
     if (candidate && shard.poison_streak >= config.poison_threshold) {
       // Journal the verdict BEFORE any worker can act on it: resume must
@@ -476,7 +484,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
       // merged journal's content would depend on crash timing.
       quarantine.insert(*candidate);
       result.quarantined.push_back(*candidate);
-      log->event("quarantine", {{"index", *candidate}});
+      log_event(*log, "quarantine", {{"index", *candidate}});
       GFI_LOG(kWarn) << "shard " << shard.index << ": injection "
                      << *candidate << " killed " << shard.poison_streak
                      << " workers in a row; quarantined";
@@ -494,7 +502,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     if (shard.no_progress_crashes >= config.max_shard_attempts) {
       shard.phase = ShardPhase::kFailed;
       ++result.shards_failed;
-      log->event("shard_failed", {{"shard", shard.index}});
+      log_event(*log, "shard_failed", {{"shard", shard.index}});
       GFI_LOG(kError) << "shard " << shard.index << ": abandoned after "
                       << shard.no_progress_crashes
                       << " consecutive no-progress crashes";
@@ -521,16 +529,15 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     stop.stop_at = at;
     for (u32 s = 0; s < config.shards; ++s) {
       const std::string path = journal_of(s);
-      auto loaded = Journal::load(path);
       std::unique_ptr<JournalWriter> writer;
-      if (loaded.is_ok()) {
+      if (tails[s].poll().is_ok()) {
+        const JournalContents& loaded = tails[s].contents();
         bool has_stop = false;
-        for (const PlanEvent& event : loaded.value().plan) {
+        for (const PlanEvent& event : loaded.plan) {
           if (event.kind == PlanEvent::Kind::kStop) has_stop = true;
         }
         if (has_stop) continue;
-        auto opened =
-            JournalWriter::open_append(path, loaded.value().valid_bytes);
+        auto opened = JournalWriter::open_append(path, loaded.valid_bytes);
         if (!opened.is_ok()) return opened.status();
         writer = std::move(opened).take();
       } else {
@@ -556,7 +563,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   auto apply_stop = [&](u64 at) -> Status {
     plan_stop = at;
     result.plan_stop = at;
-    log->event("plan_stop", {{"at", at}});
+    log_event(*log, "plan_stop", {{"at", at}});
     GFI_LOG(kInfo) << "planner: stopping rule satisfied at " << at << " of "
                    << config.num_injections << " injections";
     for (ShardState& shard : shards) {
@@ -576,47 +583,16 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   };
 
   // Appends a decision to the plan file, then wakes every live worker so a
-  // parked one re-reads the file now rather than at its next timeout.
+  // parked one polls the file now rather than at its next timeout.
   auto publish = [&](const PlanEvent& event) -> Status {
-    if (Status appended = append_plan_event(ppath, event); !appended.is_ok()) {
+    if (Status appended = plan_log->append(plan_event_line(event));
+        !appended.is_ok()) {
       return appended;
     }
     for (const ShardState& shard : shards) {
       if (shard.wake.get() >= 0) wake::send(shard.wake.get());
     }
     return Status::ok();
-  };
-
-  // The records the planner has yet to observe, pooled from every shard
-  // journal tailed incrementally; the first record wins on a duplicated
-  // index, as in file order.
-  std::vector<JournalTail> tails;
-  for (u32 s = 0; s < config.shards; ++s) tails.emplace_back(journal_of(s));
-  std::vector<std::size_t> pooled_upto(config.shards, 0);
-  std::vector<u64> tail_restarts(config.shards, 0);
-  std::map<u64, InjectionRecord> pooled;
-  auto pool_journals = [&] {
-    bool restarted = false;
-    result.planner_journal_bytes = 0;
-    for (u32 s = 0; s < config.shards; ++s) {
-      // A journal not started yet, without a header or corrupt adds nothing.
-      (void)tails[s].poll();
-      result.planner_journal_bytes += tails[s].bytes_read();
-      restarted |= tails[s].restarts() != tail_restarts[s];
-      tail_restarts[s] = tails[s].restarts();
-    }
-    if (restarted) {
-      pooled.clear();
-      pooled_upto.assign(config.shards, 0);
-    }
-    for (u32 s = 0; s < config.shards; ++s) {
-      const auto& records = tails[s].contents().records;
-      for (std::size_t r = pooled_upto[s]; r < records.size(); ++r) {
-        const auto& [index, record] = records[r];
-        if (index >= plan_frontier) pooled.emplace(index, record);
-      }
-      pooled_upto[s] = records.size();
-    }
   };
 
   // One planner step per supervision cycle: pool what the shard journals
@@ -627,7 +603,10 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   // procedure, over the same prefix, as an unsharded campaign deciding
   // locally.
   auto planner_tick = [&]() -> Status {
-    pool_journals();
+    for (u32 s = 0; s < config.shards; ++s) {
+      // A journal not started yet, without a header or corrupt adds nothing.
+      (void)read_journal(s);
+    }
     const u64 k = planner->checkpoint_every();
     while (plan_frontier < config.num_injections) {
       const u64 c = plan_frontier / k;
@@ -642,7 +621,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           return published;
         }
         published_allocs.insert(c);
-        log->event("plan_alloc", {{"ckpt", c}});
+        log_event(*log, "plan_alloc", {{"ckpt", c}});
       }
       bool block_complete = true;
       for (u64 i = b0; i < b1; ++i) {
@@ -767,7 +746,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           if (now < shard.backoff_until_ms) break;
           if (shard_complete(shard.index)) {
             shard.phase = ShardPhase::kDone;
-            log->event("shard_done", {{"shard", shard.index}});
+            log_event(*log, "shard_done", {{"shard", shard.index}});
             (void)release_lease(lease_of(shard.index), owner);
             break;
           }
@@ -775,25 +754,19 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           // Lease protocol: a live foreign lease means another supervisor
           // is working this shard — wait (it may die; its TTL will lapse).
           auto prior = read_lease(lease_of(shard.index));
-          Lease lease;
-          lease.owner = owner;
-          lease.pid = static_cast<u64>(::getpid());
-          lease.shard = shard.index;
-          lease.expires_ms = now + config.lease_ttl_ms;
-          Status acquired = acquire_lease(lease_of(shard.index), lease, now);
+          Status acquired = take_lease(shard.index, now);
           if (!acquired.is_ok()) {
             if (acquired.code() == StatusCode::kFailedPrecondition) break;
             return acquired;  // corrupt lease file: operator attention
           }
           if (prior.is_ok() && prior.value().owner != owner) {
             ++result.takeovers;
-            log->event("takeover", {{"shard", shard.index}});
+            log_event(*log, "takeover", {{"shard", shard.index}});
             GFI_LOG(kWarn) << "shard " << shard.index
                            << ": took over expired lease of "
                            << prior.value().owner;
           }
-          shard.records_at_launch =
-              journaled_indices(journal_of(shard.index)).size();
+          shard.records_at_launch = read_journal(shard.index).size();
           auto spawned = spawn_worker(config, shard.index, quarantine);
           if (!spawned.is_ok()) return spawned.status();
           shard.pid = spawned.value().pid;
@@ -803,20 +776,15 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           shard.lease_refreshed_ms = now;
           ++running;
           ++result.worker_launches;
-          log->event("launch", {{"shard", shard.index},
-                                {"pid", static_cast<u64>(shard.pid)}});
+          log_event(*log, "launch",
+                    {{"shard", shard.index},
+                     {"pid", static_cast<u64>(shard.pid)}});
           break;
         }
         case ShardPhase::kRunning: {
           all_settled = false;
           if (now >= shard.lease_refreshed_ms + refresh_ms) {
-            Lease lease;
-            lease.owner = owner;
-            lease.pid = static_cast<u64>(::getpid());
-            lease.shard = shard.index;
-            lease.expires_ms = now + config.lease_ttl_ms;
-            if (Status refreshed =
-                    acquire_lease(lease_of(shard.index), lease, now);
+            if (Status refreshed = take_lease(shard.index, now);
                 refreshed.is_ok()) {
               shard.lease_refreshed_ms = now;
             } else {
@@ -847,7 +815,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
                 ::waitpid(shard.pid, &wait_status, 0);
                 ++result.stall_kills;
                 ++result.crashes;
-                log->event("stall_kill", {{"shard", shard.index}});
+                log_event(*log, "stall_kill", {{"shard", shard.index}});
                 shard.pid = -1;
                 shard.wake.reset();
                 handle_crash(shard, 128 + SIGKILL);
@@ -868,7 +836,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
           const int code = exit_code_of(wait_status);
           if (code == 0 && shard_complete(shard.index)) {
             shard.phase = ShardPhase::kDone;
-            log->event("shard_done", {{"shard", shard.index}});
+            log_event(*log, "shard_done", {{"shard", shard.index}});
             (void)release_lease(lease_of(shard.index), owner);
           } else {
             // Nonzero exit, death by signal, or a "clean" exit that left
@@ -899,17 +867,22 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
     if (!moved) wait_for_event();
   }
 
-  // The merge below loads every journal afresh; drop the planner's copy.
+  // The merge below loads every journal afresh; drop the tails' copies.
+  for (const JournalTail& tail : tails) {
+    result.journal_bytes_read += tail.bytes_read();
+  }
   tails.clear();
+  journaled.clear();
   pooled.clear();
 
   std::sort(result.quarantined.begin(), result.quarantined.end());
-  log->event("run_done", {{"crashes", result.crashes},
-                          {"takeovers", result.takeovers},
-                          {"stall_kills", result.stall_kills},
-                          {"shards_failed", result.shards_failed}});
+  log_event(*log, "run_done",
+            {{"crashes", result.crashes},
+             {"takeovers", result.takeovers},
+             {"stall_kills", result.stall_kills},
+             {"shards_failed", result.shards_failed}});
   if (result.shards_failed > 0) {
-    return std::move(result);  // caller inspects shards_failed; no merge
+    return result;  // caller inspects shards_failed; no merge
   }
 
   std::vector<std::string> paths;
@@ -918,7 +891,7 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   auto merged = merge_journals(paths);
   if (!merged.is_ok()) return merged.status();
   result.merged = std::move(merged).take();
-  return std::move(result);
+  return result;
 }
 
 #endif  // _WIN32

@@ -26,11 +26,13 @@
 // of an AF_UNIX socketpair (fi/wake.h); the supervision loop blocks in
 // poll() on all of them, with a timeout that runs to its next timed duty (a
 // lease refresh at ttl/3, a stall check, a backoff expiry). A worker that
-// exits closes its end, so the supervisor reaps it at once. Under the
-// adaptive planner a plan-following worker sends a byte after journaling
-// each block, the supervisor tails the shard journals (fi::JournalTail,
-// each appended byte read about once) and, after appending a decision to
-// `<dir>/plan.jsonl`, sends a byte to every live worker to end its wait.
+// exits closes its end, so the supervisor reaps it at once. It reads shard
+// journals only through one fi::JournalTail per shard (each appended byte
+// read about once) for progress, completeness, crash bookkeeping and the
+// planner, until the final merge. Under the adaptive planner a
+// plan-following worker sends a byte after journaling each block, and the
+// supervisor, after appending a decision to `<dir>/plan.jsonl`, sends a
+// byte to every live worker to end its wait.
 // The bytes carry no data: journals and the plan file stay the only source
 // of truth, so a lost wake costs latency, never correctness.
 //
@@ -107,10 +109,11 @@ struct SupervisorResult {
   /// Boundary where the sequential stopping rule halted the campaign
   /// (0 = the planner never stopped it and the full budget ran).
   u64 plan_stop = 0;
-  /// Shard-journal bytes the planner read while deciding. Journals are
-  /// tailed, so this stays near the final journal sizes however many
-  /// checkpoints the campaign passes.
-  u64 planner_journal_bytes = 0;
+  /// Shard-journal bytes the supervisor read before its final merge. Every
+  /// such read goes through a per-shard JournalTail, so this stays near the
+  /// final journal sizes however many checkpoints and shard events the
+  /// campaign passes.
+  u64 journal_bytes_read = 0;
   /// Strict auto-merge of all shard journals; meaningful only when
   /// shards_failed == 0.
   MergedCampaign merged;

@@ -5,7 +5,7 @@
 // between polls of the journals or the plan file.
 //
 // The bytes carry no data. Journals and the plan file stay the only source
-// of truth, and every reader re-reads them on a wake, so a dropped or
+// of truth, and every reader polls them on a wake, so a dropped or
 // coalesced byte costs latency, never correctness. EOF is the one signal
 // with meaning: the peer process is gone.
 #pragma once

@@ -1,15 +1,10 @@
 #include "obs/heartbeat.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 
-#include "common/failpoint.h"
 #include "common/jsonl.h"
 
 namespace gfi::obs {
@@ -75,27 +70,18 @@ Result<HeartbeatState> parse_heartbeat(const std::string& line) {
 }
 
 Result<HeartbeatState> load_status_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::not_found("cannot open status file " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string data = buffer.str();
-
   // Keep the last parseable line: a shard killed mid-write leaves a torn
   // tail, and a reader racing the writer can see a half-flushed line; both
   // must degrade to slightly stale progress, never to an error.
   std::optional<HeartbeatState> last;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::size_t newline = data.find('\n', pos);
-    if (newline == std::string::npos) newline = data.size();
-    const std::string line = data.substr(pos, newline - pos);
-    if (!line.empty()) {
-      auto parsed = parse_heartbeat(line);
-      if (parsed.is_ok()) last = std::move(parsed).take();
+  jsonl::Tail tail(path);
+  Status polled = tail.poll([&](const std::string& line) {
+    if (auto parsed = parse_heartbeat(line); parsed.is_ok()) {
+      last = std::move(parsed).take();
     }
-    pos = newline + 1;
-  }
+    return Status::ok();
+  });
+  if (!polled.is_ok()) return polled;  // kNotFound: no line is ever rejected
   if (!last) {
     return Status::failed_precondition("status file " + path +
                                        " has no complete heartbeat record");
@@ -120,9 +106,9 @@ Result<u64> sidecar_age_ms(const std::string& path) {
   return ms.count() < 0 ? 0 : static_cast<u64>(ms.count());
 }
 
-HeartbeatWriter::HeartbeatWriter(std::FILE* file, HeartbeatState state,
-                                 u64 interval_ms)
-    : file_(file),
+HeartbeatWriter::HeartbeatWriter(std::unique_ptr<jsonl::Writer> log,
+                                 HeartbeatState state, u64 interval_ms)
+    : log_(std::move(log)),
       state_(std::move(state)),
       session_start_done_(state_.done),
       interval_ms_(interval_ms),
@@ -130,24 +116,18 @@ HeartbeatWriter::HeartbeatWriter(std::FILE* file, HeartbeatState state,
       last_beat_(start_) {}
 
 HeartbeatWriter::~HeartbeatWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // An error-path unwind still flushes the latest progress; only finish()
-    // may declare the shard done.
-    if (!finished_ && file_) write_line_locked(/*done_event=*/false);
-  }
-  if (file_) std::fclose(file_);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // An error-path unwind still flushes the latest progress; only finish()
+  // may declare the shard done.
+  if (!finished_) write_line_locked(/*done_event=*/false);
 }
 
 Result<std::unique_ptr<HeartbeatWriter>> HeartbeatWriter::create(
     const std::string& path, const HeartbeatState& initial, u64 interval_ms) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (!file) {
-    return Status::internal("cannot create status file " + path + ": " +
-                            std::strerror(errno));
-  }
+  auto log = jsonl::Writer::create(path, "", {"heartbeat.write"});
+  if (!log.is_ok()) return log.status();
   auto writer = std::unique_ptr<HeartbeatWriter>(
-      new HeartbeatWriter(file, initial, interval_ms));
+      new HeartbeatWriter(std::move(log).take(), initial, interval_ms));
   std::lock_guard<std::mutex> lock(writer->mutex_);
   writer->write_line_locked(/*done_event=*/false);
   return writer;
@@ -205,16 +185,10 @@ void HeartbeatWriter::write_line_locked(bool done_event) {
                      ? static_cast<f64>(remaining) / state_.rate
                      : std::numeric_limits<f64>::quiet_NaN();
   state_.finished = done_event;
-  const std::string line = heartbeat_line(state_) + "\n";
   // Write failures (real or injected) are swallowed: heartbeats are
   // disposable telemetry and must never abort a campaign. The sidecar
   // simply goes stale, which is precisely the supervisor's stall signal.
-  const bool drop = fp::enabled() &&
-                    fp::hit("heartbeat.write").action == fp::Action::kErr;
-  if (!drop &&
-      std::fwrite(line.data(), 1, line.size(), file_) == line.size()) {
-    std::fflush(file_);
-  }
+  (void)log_->append(heartbeat_line(state_));
   last_beat_ = now;
 }
 

@@ -8,9 +8,11 @@
 //    "shard_count":4,"done":120,"total":250,"outcome_counts":[...],
 //    "t_s":9.8,"rate":12.2,"eta_s":10.6}
 //
-// The final line on completion carries ev:"done". The writer flushes every
-// line, so a killed shard leaves at worst one torn trailing line — readers
-// keep the last parseable record, mirroring the journal's resume rule.
+// The final line on completion carries ev:"done". The sidecar is an
+// append-only log like the journal (jsonl::Writer, failpoint site
+// `heartbeat.write`; jsonl::Tail to read), so a killed shard leaves at worst
+// one torn trailing line. Unlike the journal reader, the status reader
+// skips lines it cannot parse and keeps the last parseable record.
 // Heartbeats deliberately live in a sidecar, NOT interleaved in the journal:
 // the journal is the campaign's replayable source of truth and must stay a
 // dense record-per-injection log that merge/resume can validate; heartbeats
@@ -22,12 +24,12 @@
 #pragma once
 
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/jsonl.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -101,11 +103,12 @@ class HeartbeatWriter {
   void finish();
 
  private:
-  HeartbeatWriter(std::FILE* file, HeartbeatState state, u64 interval_ms);
+  HeartbeatWriter(std::unique_ptr<jsonl::Writer> log, HeartbeatState state,
+                  u64 interval_ms);
 
   void write_line_locked(bool done_event);
 
-  std::FILE* file_ = nullptr;
+  std::unique_ptr<jsonl::Writer> log_;
   std::mutex mutex_;
   HeartbeatState state_;
   u64 session_start_done_ = 0;  ///< `done` at create() (resumed records)

@@ -407,15 +407,15 @@ TEST(Supervisor, AdaptiveRunMergesBitIdenticalToUnshardedAdaptive) {
   ASSERT_EQ(ran.value().shards_failed, 0u);
   EXPECT_EQ(ran.value().plan_stop, stopped_at);
   EXPECT_EQ(ran.value().merged.effective_injections, stopped_at);
-  // The planner tails the shard journals: it reads each byte about once,
-  // never once per checkpoint.
+  // The supervisor tails the shard journals: it reads each byte about
+  // once, never once per checkpoint.
   u64 journal_bytes = 0;
   for (u32 s = 0; s < config.shards; ++s) {
     journal_bytes +=
         fs::file_size(Supervisor::shard_journal_path(config.dir, s));
   }
-  EXPECT_GT(ran.value().planner_journal_bytes, 0u);
-  EXPECT_LE(ran.value().planner_journal_bytes, journal_bytes);
+  EXPECT_GT(ran.value().journal_bytes_read, 0u);
+  EXPECT_LE(ran.value().journal_bytes_read, journal_bytes);
 
   const std::string merged_path = (dir / "merged.jsonl").string();
   ASSERT_TRUE(
@@ -444,6 +444,45 @@ TEST(Supervisor, AdaptiveRunSurvivesWorkerKillsBitIdentically) {
   const std::string merged_path = (dir / "merged.jsonl").string();
   ASSERT_TRUE(
       fi::write_merged_journal(merged_path, ran.value().merged).is_ok());
+  EXPECT_EQ(read_file(merged_path), read_file(*reference.journal_path));
+}
+
+TEST(Supervisor, ResumedSupervisorCutsATornPlanTailBeforePublishing) {
+  const fs::path dir = scratch_dir("sup_torn_plan");
+  CampaignConfig reference = adaptive_config((dir / "ref.jsonl").string());
+  reference.planner.stratify = true;
+  ASSERT_TRUE(Campaign::run(reference).is_ok());
+  auto config = planner_sup_config(dir / "run", reference, 3);
+  auto first = Supervisor::run(config);
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  const std::string plan_path = Supervisor::plan_path(config.dir);
+  auto published = fi::load_plan_file(plan_path, reference);
+  ASSERT_TRUE(published.is_ok()) << published.status().to_string();
+  ASSERT_GE(published.value().allocs.size(), 2u);
+  ASSERT_TRUE(published.value().stop_at.has_value());
+
+  // The supervisor died mid-append of its first decision: the plan file is
+  // its header plus a torn fragment. The shard journals keep every decision
+  // their workers need, so a resumed supervisor re-derives and republishes
+  // the whole plan — every line of it appended after the torn bytes unless
+  // the reopened plan file is truncated to its last complete line first.
+  {
+    std::ofstream out(plan_path, std::ios::binary | std::ios::trunc);
+    out << fi::plan_file_header(reference) << "\n"
+        << "{\"plan\":\"alloc\",\"ck";
+  }
+  config.resume = true;
+  auto resumed = Supervisor::run(config);
+  ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+  ASSERT_EQ(resumed.value().shards_failed, 0u);
+
+  auto republished = fi::load_plan_file(plan_path, reference);
+  ASSERT_TRUE(republished.is_ok()) << republished.status().to_string();
+  EXPECT_EQ(republished.value().allocs, published.value().allocs);
+  EXPECT_EQ(republished.value().stop_at, published.value().stop_at);
+  const std::string merged_path = (dir / "merged.jsonl").string();
+  ASSERT_TRUE(
+      fi::write_merged_journal(merged_path, resumed.value().merged).is_ok());
   EXPECT_EQ(read_file(merged_path), read_file(*reference.journal_path));
 }
 

@@ -16,6 +16,7 @@
 
 #include "arch/arch.h"
 #include "common/failpoint.h"
+#include "common/jsonl.h"
 #include "fi/campaign.h"
 #include "fi/golden_cache.h"
 #include "fi/journal.h"
@@ -349,6 +350,57 @@ TEST(Supervisor, DiesMidCampaignThenResumeIsBitIdentical) {
   fi::SupervisorResult result;
   const std::string merged = merged_bytes(config, &result);
   EXPECT_EQ(merged, read_file(reference));
+}
+
+TEST(Supervisor, ResumeCutsATornStateTailAndReplaysEveryLaterEvent) {
+  const fs::path dir = scratch_dir("torn_state");
+  const std::string reference = write_reference_journal(dir, 36);
+  auto config = sup_config(dir / "run", 36, 3);
+  // A supervisor that died mid-append of an event: its state file is the
+  // header plus a torn final line.
+  ASSERT_TRUE(fp::set_spec("supervisor.tick=err@hit=1").is_ok());
+  auto first = Supervisor::run(config);
+  (void)fp::set_spec("");
+  ASSERT_FALSE(first.is_ok());
+  const std::string state = Supervisor::state_path(config.dir);
+  {
+    std::ofstream out(state, std::ios::binary | std::ios::app);
+    out << "{\"ev\":\"launch\",\"sha";
+  }
+
+  // The resumed supervisor logs a resume, launches, crashes and a
+  // quarantine: every line must land whole, none glued onto the fragment.
+  config.resume = true;
+  config.worker_failpoints = "inject.execute=kill@key=19";
+  fi::SupervisorResult result;
+  EXPECT_NE(merged_bytes(config, &result), "");
+  ASSERT_EQ(result.quarantined, std::vector<u64>{19});
+  std::ifstream in(state, std::ios::binary);
+  std::string line;
+  std::size_t lines = 0;
+  bool quarantine_logged = false;
+  while (std::getline(in, line)) {
+    ++lines;
+    jsonl::Fields fields;
+    EXPECT_TRUE(jsonl::parse_fields(line, &fields)) << line;
+    quarantine_logged |= jsonl::get_str(fields, "ev") == "quarantine";
+  }
+  EXPECT_GT(lines, 5u);
+  EXPECT_TRUE(quarantine_logged);
+
+  // A second resume replays all of it: the quarantine set comes back.
+  config.worker_failpoints = "";
+  fi::SupervisorResult again;
+  const std::string merged = merged_bytes(config, &again);
+  EXPECT_EQ(again.quarantined, std::vector<u64>{19});
+  EXPECT_EQ(again.worker_launches, 0u);
+  auto merged_lines = lines_by_index(config.dir + "/merged.jsonl");
+  auto reference_lines = lines_by_index(reference);
+  ASSERT_EQ(merged_lines.size(), reference_lines.size());
+  for (const auto& [index, want] : reference_lines) {
+    if (index != "19") EXPECT_EQ(merged_lines.at(index), want) << index;
+  }
+  (void)merged;
 }
 
 TEST(Supervisor, AbandonsAShardAfterMaxNoProgressAttempts) {

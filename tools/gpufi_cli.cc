@@ -151,7 +151,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -162,6 +161,7 @@
 #include "analysis/report.h"
 #include "arch/arch.h"
 #include "cli_args.h"
+#include "common/jsonl.h"
 #include "common/simd.h"
 #include "common/table.h"
 #include "fi/campaign.h"
@@ -878,28 +878,13 @@ int cmd_campaign(const Options& options) {
     (void)analysis::write_records_csv(result.value(), *options.records);
   }
   if (options.metrics_out) {
-    // Temp file + rename: a crash mid-write must never leave a torn JSON
+    // Replaced whole: a crash mid-write must never leave a torn JSON
     // snapshot for downstream tooling to choke on.
-    const std::string tmp =
-        *options.metrics_out + ".tmp-" + std::to_string(::getpid());
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (out) out << metrics.snapshot().to_json();
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "cannot write metrics snapshot to %s\n",
-                     options.metrics_out->c_str());
-        std::error_code ec;
-        std::filesystem::remove(tmp, ec);
-        return 1;
-      }
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, *options.metrics_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot write metrics snapshot to %s: %s\n",
-                   options.metrics_out->c_str(), ec.message().c_str());
-      std::filesystem::remove(tmp, ec);
+    if (Status written = jsonl::replace_file(*options.metrics_out,
+                                             metrics.snapshot().to_json());
+        !written.is_ok()) {
+      std::fprintf(stderr, "cannot write metrics snapshot: %s\n",
+                   written.message().c_str());
       return 1;
     }
     std::printf("metrics snapshot written to %s\n",
@@ -1121,41 +1106,31 @@ int cmd_run(const Options& options, const char* argv0) {
   // Campaign flags forwarded verbatim to every worker. Defaults are passed
   // explicitly so the worker command line fully determines the campaign —
   // a shard journal is replayable from its flags alone.
-  config.worker_flags.push_back("--arch=" + options.arch);
-  config.worker_flags.push_back("--mode=" + options.mode);
-  config.worker_flags.push_back("--flip=" + options.flip);
-  config.worker_flags.push_back("--injections=" +
-                                std::to_string(options.injections));
-  config.worker_flags.push_back("--seed=" + std::to_string(options.seed));
-  config.worker_flags.push_back("--persist=" + options.persist);
-  if (options.group) config.worker_flags.push_back("--group=" + *options.group);
-  if (options.bit) {
-    config.worker_flags.push_back("--bit=" + std::to_string(*options.bit));
-  }
-  if (options.ecc_on) {
-    config.worker_flags.push_back(std::string("--ecc=") +
-                                  (*options.ecc_on ? "on" : "off"));
-  }
-  if (options.recover) {
-    config.worker_flags.push_back("--recover=" + *options.recover);
-  }
+  auto forward = [&](const std::string& flag, const std::string& value) {
+    config.worker_flags.push_back("--" + flag + "=" + value);
+  };
+  auto exact = [](f64 value) {  // round-trips through the worker's parser
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    return std::string(buffer);
+  };
+  forward("arch", options.arch);
+  forward("mode", options.mode);
+  forward("flip", options.flip);
+  forward("injections", std::to_string(options.injections));
+  forward("seed", std::to_string(options.seed));
+  forward("persist", options.persist);
+  if (options.group) forward("group", *options.group);
+  if (options.bit) forward("bit", std::to_string(*options.bit));
+  if (options.ecc_on) forward("ecc", *options.ecc_on ? "on" : "off");
+  if (options.recover) forward("recover", *options.recover);
   if (options.max_retries) {
-    config.worker_flags.push_back("--max-retries=" +
-                                  std::to_string(*options.max_retries));
+    forward("max-retries", std::to_string(*options.max_retries));
   }
-  if (options.prune != "none") {
-    config.worker_flags.push_back("--prune=" + options.prune);
-  }
-  if (options.engine != "auto") {
-    config.worker_flags.push_back("--engine=" + options.engine);
-  }
-  if (options.watchdog) {
-    config.worker_flags.push_back("--watchdog=" +
-                                  std::to_string(*options.watchdog));
-  }
-  if (options.golden_cache) {
-    config.worker_flags.push_back("--golden-cache=" + *options.golden_cache);
-  }
+  if (options.prune != "none") forward("prune", options.prune);
+  if (options.engine != "auto") forward("engine", options.engine);
+  if (options.watchdog) forward("watchdog", std::to_string(*options.watchdog));
+  if (options.golden_cache) forward("golden-cache", *options.golden_cache);
   // Planner flags are forwarded so worker journal headers match the
   // unsharded adaptive campaign's byte-for-byte; the supervisor itself
   // appends the --plan= flag that puts workers in follow mode.
@@ -1165,26 +1140,17 @@ int cmd_run(const Options& options, const char* argv0) {
                  "(workers are pointed at <dir>/plan.jsonl automatically)\n");
     return 2;
   }
-  char fbuf[32];
   if (options.stop_half_width) {
-    std::snprintf(fbuf, sizeof(fbuf), "%.17g", *options.stop_half_width);
-    config.worker_flags.push_back(std::string("--stop-half-width=") + fbuf);
+    forward("stop-half-width", exact(*options.stop_half_width));
   }
   if (options.stop_confidence) {
-    std::snprintf(fbuf, sizeof(fbuf), "%.17g", *options.stop_confidence);
-    config.worker_flags.push_back(std::string("--stop-confidence=") + fbuf);
+    forward("stop-confidence", exact(*options.stop_confidence));
   }
-  if (options.stop_min) {
-    config.worker_flags.push_back("--stop-min=" +
-                                  std::to_string(*options.stop_min));
-  }
+  if (options.stop_min) forward("stop-min", std::to_string(*options.stop_min));
   if (options.checkpoint_every) {
-    config.worker_flags.push_back("--checkpoint-every=" +
-                                  std::to_string(*options.checkpoint_every));
+    forward("checkpoint-every", std::to_string(*options.checkpoint_every));
   }
-  if (options.stratify != "none") {
-    config.worker_flags.push_back("--stratify=" + options.stratify);
-  }
+  if (options.stratify != "none") forward("stratify", options.stratify);
   if (options.stop_half_width || options.stratify != "none") {
     // The supervisor needs the unsharded campaign mirror to compute planner
     // decisions itself (it is the only party seeing the full prefix).
@@ -1202,13 +1168,12 @@ int cmd_run(const Options& options, const char* argv0) {
   const fi::SupervisorResult& result = ran.value();
   std::printf(
       "supervisor: %llu worker launch(es), %llu crash(es), %llu stall "
-      "kill(s), %llu lease takeover(s), %llu journal byte(s) read by the "
-      "planner\n",
+      "kill(s), %llu lease takeover(s), %llu journal byte(s) read\n",
       static_cast<unsigned long long>(result.worker_launches),
       static_cast<unsigned long long>(result.crashes),
       static_cast<unsigned long long>(result.stall_kills),
       static_cast<unsigned long long>(result.takeovers),
-      static_cast<unsigned long long>(result.planner_journal_bytes));
+      static_cast<unsigned long long>(result.journal_bytes_read));
   if (result.plan_stop > 0) {
     std::printf("planner: stopped at %llu of %zu injections\n",
                 static_cast<unsigned long long>(result.plan_stop),
