@@ -52,9 +52,9 @@ int main() {
   const u64 params[] = {in.value(), out.value(), f32_bits(0.5f),
                         f32_bits(3.0f)};
 
-  sim::ProfilerHook profiler;
+  sim::Profile profile;
   sim::LaunchOptions options;
-  options.hooks.push_back(&profiler);
+  options.profile = &profile;
   auto launch = device.launch(program.value(), Dim3(1), Dim3(n), params,
                               options);
   std::printf("clean run: %llu warp instrs, %llu cycles (%.2f us on %s)\n",
@@ -63,7 +63,7 @@ int main() {
               launch.value().time_us(device.config()),
               device.config().name.c_str());
   for (int g = 0; g < sim::kInstrGroupCount; ++g) {
-    const u64 count = profiler.profile().warp_instrs_by_group[g];
+    const u64 count = profile.warp_instrs_by_group[g];
     if (count > 0) {
       std::printf("  %-9s %llu\n",
                   sim::group_name(static_cast<sim::InstrGroup>(g)),

@@ -185,9 +185,8 @@ Result<Campaign::Golden> Campaign::golden_run(const CampaignConfig& config) {
   auto spec = workload->setup(device);
   if (!spec.is_ok()) return spec.status();
 
-  // Profile natively (LaunchOptions::profile) instead of via ProfilerHook:
-  // with no hooks attached the golden run takes the clean execution path.
-  // The engine's counts are identical to the hook's.
+  // Profile natively (LaunchOptions::profile): with no hooks attached the
+  // golden run takes the clean execution path.
   sim::Profile profile;
   sim::LaunchOptions options;
   options.profile = &profile;
@@ -250,16 +249,11 @@ bool credit_allowed(const CampaignConfig& config, const sa::PruneMap& map,
   return false;
 }
 
-/// Fills `record` for a prunable site without simulating, reproducing field
-/// by field what the launch would have recorded:
-///  - exec_mask == 0: the injector never activates (predicated-off site).
-///  - kNoop: the strike hits nothing corruptible (e.g. RZ-dst atomic);
-///    activated stays false.
-///  - kDead (or kPartialDead with every struck bit dead): the strike lands
-///    but nothing it flips is ever read, so the run completes with
-///    fault-free output and the golden check verdict.
-void credit_pruned(const sa::PruneMap& map, const sa::PruneEntry& entry,
-                   u64 golden_dyn_instrs, InjectionRecord& record) {
+}  // namespace
+
+void Campaign::credit_pruned(const sa::PruneMap& map,
+                             const sa::PruneEntry& entry,
+                             u64 golden_dyn_instrs, InjectionRecord& record) {
   record.effect.struck_dyn_index = entry.dyn_index;
   record.effect.struck_opcode = entry.op;
   record.effect.struck_group = *record.site.group;
@@ -282,8 +276,6 @@ void credit_pruned(const sa::PruneMap& map, const sa::PruneEntry& entry,
                                              ? Outcome::kMasked
                                              : Outcome::kMaskedTolerated;
 }
-
-}  // namespace
 
 Result<InjectionRecord> Campaign::run_single(
     const CampaignConfig& config, const sim::Profile& profile,
@@ -486,11 +478,16 @@ Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
   auto spec = workload->setup(device);
   if (!spec.is_ok()) return spec.status();
 
+  // Hook-free: the engine logs the watched sites and the per-group totals
+  // natively, on whichever tier config.engine selects.
   sa::PruneMap map;
   map.analysis = sa::StaticSiteAnalysis::analyze(workload->program());
-  sa::SiteMapHook hook(map);
+  sim::SiteLog sites;
+  sites.watch = sa::prune_watch(workload->program(), map.analysis);
+  sim::Profile profile;
   sim::LaunchOptions options;
-  options.hooks.push_back(&hook);
+  options.site_log = &sites;
+  options.profile = &profile;
   options.engine = config.engine;
   auto launch = device.launch(workload->program(), spec.value().grid,
                               spec.value().block, spec.value().params, options);
@@ -505,6 +502,7 @@ Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
     return Status::internal("prune-map check of '" + config.workload +
                             "' trapped");
   }
+  map.record(workload->program(), sites, profile);
   map.golden_bitwise_equal = checked.value().result.bitwise_equal;
   map.golden_max_rel_err = checked.value().result.max_rel_err;
   return map;
@@ -616,7 +614,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     }
   }
 
-  // Static dead-site pruning: one instrumented fault-free launch maps every
+  // Static dead-site pruning: one hook-free fault-free launch maps every
   // prunable (group, occurrence) site; workers then credit those records
   // analytically instead of simulating them.
   std::optional<sa::PruneMap> prune_map;

@@ -27,6 +27,7 @@
 #include "sassim/trap.h"
 
 namespace gfi::sa {
+struct PruneEntry;
 struct PruneMap;
 }  // namespace gfi::sa
 
@@ -294,9 +295,21 @@ class Campaign {
       std::optional<sim::InstrGroup> stratum = std::nullopt);
 
   /// Builds the dynamic prune map for `config`'s workload: one fault-free
-  /// instrumented launch recording every prunable (group, occurrence) site,
-  /// plus the golden check outcome used to credit dead sites analytically.
+  /// hook-free launch whose native site log records every prunable
+  /// (group, occurrence) site, plus the golden check outcome used to credit
+  /// dead sites analytically.
   static Result<sa::PruneMap> build_prune_map(const CampaignConfig& config);
+
+  /// Fills `record` (its site sampled at `entry`) the way run_single credits
+  /// a prunable site, field for field what the launch would have recorded:
+  ///  - exec_mask == 0: the injector never activates (predicated-off site).
+  ///  - kNoop: the strike hits nothing corruptible (e.g. RZ-dst atomic).
+  ///  - kDead (or kPartialDead with every struck bit dead): the strike lands
+  ///    but nothing it flips is ever read, so the run completes with
+  ///    fault-free output and the golden check verdict.
+  static void credit_pruned(const sa::PruneMap& map,
+                            const sa::PruneEntry& entry,
+                            u64 golden_dyn_instrs, InjectionRecord& record);
 
   /// Phase-1 only: golden profile for a (workload, machine) pair.
   struct Golden {

@@ -51,20 +51,12 @@ class InjectorHook final : public sim::InstrumentHook {
   u64 transform_store_address(u64 addr, const sim::InstrContext& ctx,
                               u32 lane) override;
 
-  /// One-shot: after the fault has fired (and any armed store-address
-  /// strike has landed) the hook is inert for the rest of the launch, so
-  /// the engine may downgrade to the clean execution path.
-  [[nodiscard]] bool done_observing() const override {
-    return fired_ && armed_store_dyn_ == ~0ULL;
-  }
-
   /// The strike site as a native trigger: the groups is_target() accepts
   /// (all groups for kRf, none for kMemory) and the target occurrence, so
   /// the engine counts exactly the instructions this hook would count.
-  /// None once fired (the hook is already done observing). Occurrences a
-  /// triggered launch passes without reaching the site are not counted
-  /// into the hook, so attach a fresh hook to each launch, as the campaign
-  /// does.
+  /// None once fired: a spent hook is inert. Occurrences a triggered
+  /// launch passes without reaching the site are not counted into the
+  /// hook, so attach a fresh hook to each launch, as the campaign does.
   [[nodiscard]] std::optional<sim::StrikeTrigger> trigger() const override;
   /// The engine skipped every eligible instruction before the target.
   void on_trigger_reached() override {

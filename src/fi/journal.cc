@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "common/jsonl.h"
 #include "fi/planner.h"
@@ -781,6 +782,19 @@ Result<std::pair<std::string, Campaign::Golden>> parse_golden_line(
       !copy_array(fields, "profile_thread",
                   &golden.profile.thread_instrs_by_group)) {
     return Status::invalid_argument("golden cache entry: bad profile arrays");
+  }
+  // The arrays and totals restate one another, so a damaged digit in any
+  // of them breaks an equality and the entry is refused rather than served.
+  const sim::Profile& p = golden.profile;
+  const auto sum = [](const auto& counts) {
+    return std::accumulate(counts.begin(), counts.end(), u64{0});
+  };
+  if (sum(p.warp_instrs_by_opcode) != golden.dyn_instrs ||
+      sum(p.warp_instrs_by_group) != golden.dyn_instrs ||
+      p.total_warp_instrs != golden.dyn_instrs ||
+      sum(p.thread_instrs_by_group) != p.total_thread_instrs) {
+    return Status::invalid_argument(
+        "golden cache entry: profile counts do not add up");
   }
   return std::make_pair(*key, golden);
 }

@@ -99,22 +99,32 @@ u64 PruneMap::num_prunable() const {
   return total;
 }
 
-void SiteMapHook::on_after_instr(sim::InstrContext& ctx) {
-  const u32 pc = static_cast<u32>(ctx.instr - code_);
-  const int group = static_cast<int>(ctx.group);
-  const u64 occurrence = map_->occurrences[group]++;
-  if (!is_value_site_group(ctx.group)) return;
+void PruneMap::record(const sim::Program& program, const sim::SiteLog& log,
+                      const sim::Profile& profile) {
+  for (const sim::SiteLog::Event& event : log.events) {
+    PruneEntry entry;
+    entry.occurrence = event.occurrence;
+    entry.dyn_index = event.dyn_index;
+    entry.pc = event.pc;
+    entry.exec_mask = event.exec_mask;
+    entry.op = program.at(event.pc).op;
+    entry.cls = analysis.site_class(event.pc);
+    entries[static_cast<int>(event.group)].push_back(entry);
+  }
+  occurrences = profile.warp_instrs_by_group;
+}
 
-  const SiteClass cls = map_->analysis.site_class(pc);
-  if (cls == SiteClass::kLive && ctx.exec_mask != 0) return;
-  PruneEntry entry;
-  entry.occurrence = occurrence;
-  entry.dyn_index = ctx.dyn_index;
-  entry.pc = pc;
-  entry.exec_mask = ctx.exec_mask;
-  entry.op = ctx.instr->op;
-  entry.cls = cls;
-  map_->entries[group].push_back(entry);
+std::vector<u8> prune_watch(const sim::Program& program,
+                            const StaticSiteAnalysis& analysis) {
+  const sim::DecodedProgram& dec = program.decoded();
+  std::vector<u8> watch(program.size(), sim::SiteLog::kSkip);
+  for (u32 pc = 0; pc < watch.size(); ++pc) {
+    if (!is_value_site_group(dec.group(pc))) continue;
+    watch[pc] = analysis.site_class(pc) == SiteClass::kLive
+                    ? sim::SiteLog::kIfNoLane
+                    : sim::SiteLog::kAlways;
+  }
+  return watch;
 }
 
 }  // namespace gfi::sa

@@ -14,8 +14,8 @@
 //
 // The classification is static (per pc); the PruneMap adds the dynamic side:
 // which (group, occurrence) pairs — the coordinates the injector samples —
-// land on a prunable pc, recorded by replaying the fault-free launch once
-// with a SiteMapHook.
+// land on a prunable pc, recorded natively (sim::SiteLog, watched per
+// prune_watch) during one hook-free fault-free launch.
 #pragma once
 
 #include <array>
@@ -23,7 +23,7 @@
 
 #include "sa/cfg.h"
 #include "sa/dataflow.h"
-#include "sassim/instrument.h"
+#include "sassim/profiler.h"
 #include "sassim/program.h"
 
 namespace gfi::sa {
@@ -123,24 +123,19 @@ struct PruneMap {
                                        u64 occurrence) const;
   /// Total prunable sites across groups.
   [[nodiscard]] u64 num_prunable() const;
+
+  /// Fills `entries` from the site log of one fault-free launch of
+  /// `program` watched per prune_watch(), and `occurrences` from the same
+  /// launch's profile.
+  void record(const sim::Program& program, const sim::SiteLog& log,
+              const sim::Profile& profile);
 };
 
-/// Instrumentation hook that records, during one fault-free launch, every
-/// value-group dynamic site whose pc is prunable. Counts occurrences in
-/// on_after_instr with the exact discipline of the injector's eligibility
-/// counter, so `PruneEntry::occurrence` aligns with sampled sites.
-class SiteMapHook : public sim::InstrumentHook {
- public:
-  explicit SiteMapHook(PruneMap& map) : map_(&map) {}
-
-  void on_launch_begin(const sim::Program& program) override {
-    code_ = program.code().data();
-  }
-  void on_after_instr(sim::InstrContext& ctx) override;
-
- private:
-  PruneMap* map_;
-  const sim::Instr* code_ = nullptr;
-};
+/// Watch bytes (sim::SiteLog::watch) under which a fault-free launch logs
+/// exactly the PruneMap's sites: every instance of a value-group pc not
+/// classified kLive, and the instances of a kLive one that no lane executes
+/// (the injector never activates there).
+[[nodiscard]] std::vector<u8> prune_watch(const sim::Program& program,
+                                          const StaticSiteAnalysis& analysis);
 
 }  // namespace gfi::sa

@@ -2,10 +2,10 @@
 //
 // Hooks observe and may mutate architectural state around every dynamic
 // warp instruction — the same power NVBitFI's injector has on real GPUs.
-// The fault injector, the opcode profiler, and tracing tools are all just
-// InstrumentHook implementations. A one-shot hook (the injector) declares
-// the single instruction it needs through trigger(); the engine then runs
-// everything else hook-free.
+// The fault injector and the tracer are InstrumentHook implementations;
+// whole-launch counting (profile, site log) is native to the engine. A
+// one-shot hook (the injector) declares the single instruction it needs
+// through trigger(); the engine then runs everything else hook-free.
 #pragma once
 
 #include <optional>
@@ -56,11 +56,11 @@ struct StrikeTrigger {
 /// per-instruction callbacks for the struck instruction only. Callbacks for
 /// every other instruction are not delivered, so only a hook whose
 /// callbacks have no effect outside its struck instruction may declare a
-/// trigger, and it must report done_observing() once that instruction has
-/// executed. on_launch_begin / on_launch_end are delivered as always.
-/// A strike may land on any instruction; at the first cycle boundary after
-/// the last strike the launch drops the countdown, runs plain clean, and
-/// reports LaunchResult::downgraded.
+/// trigger. on_launch_begin / on_launch_end are delivered as always. At the
+/// first cycle boundary after the last strike the launch drops the
+/// countdown, runs plain clean, and reports LaunchResult::downgraded. The
+/// trigger is the only way a hooked launch leaves the instrumented tier: a
+/// hook without one is called around every instruction to the end.
 class InstrumentHook {
  public:
   virtual ~InstrumentHook() = default;
@@ -84,16 +84,8 @@ class InstrumentHook {
     return addr;
   }
 
-  /// True once this hook no longer needs to observe or mutate anything for
-  /// the rest of the launch. When every attached hook reports done, the
-  /// engine downgrades mid-launch from the instrumented to the hook-free
-  /// tier (NVBitFI's detach-after-strike optimisation); per-instruction
-  /// callbacks stop, on_launch_end is still delivered. Hooks that observe
-  /// the whole launch (profiler, tracer) keep the default.
-  [[nodiscard]] virtual bool done_observing() const { return false; }
-
   /// The single instruction this hook needs to observe, or none to be
-  /// called around every instruction (profiler, tracer, site mapping). See
+  /// called around every instruction (a tracer, test observers). See
   /// the class comment for the contract a declared trigger carries.
   [[nodiscard]] virtual std::optional<StrikeTrigger> trigger() const {
     return std::nullopt;

@@ -1,14 +1,14 @@
-// Dynamic-instruction profiler: the "profiling pass" of a two-phase
-// NVBitFI-style campaign. Counts dynamic warp and thread instructions per
-// opcode and per instruction group; the fault-site sampler draws from these
-// counts.
+// Native launch observers, filled by the engine itself on whichever tier
+// runs (LaunchOptions::profile / site_log): the "profiling pass" of a
+// two-phase NVBitFI-style campaign. The fault-site sampler draws from the
+// Profile's counts; dead-site pruning maps its sites from the SiteLog.
 #pragma once
 
 #include <array>
-#include <bit>
+#include <vector>
 
 #include "common/types.h"
-#include "sassim/instrument.h"
+#include "sassim/isa.h"
 
 namespace gfi::sim {
 
@@ -26,28 +26,28 @@ struct Profile {
   [[nodiscard]] u64 group_thread_count(InstrGroup group) const {
     return thread_instrs_by_group[static_cast<int>(group)];
   }
-
-  void merge(const Profile& other);
 };
 
-/// Hook that accumulates a Profile during a launch.
-class ProfilerHook final : public InstrumentHook {
- public:
-  void on_before_instr(InstrContext& ctx) override {
-    ++profile_.warp_instrs_by_opcode[static_cast<int>(ctx.instr->op)];
-    ++profile_.warp_instrs_by_group[static_cast<int>(ctx.group)];
-    profile_.thread_instrs_by_group[static_cast<int>(ctx.group)] +=
-        static_cast<u64>(std::popcount(ctx.exec_mask));
-    ++profile_.total_warp_instrs;
-    profile_.total_thread_instrs +=
-        static_cast<u64>(std::popcount(ctx.exec_mask));
-  }
+/// Input: one watch byte per pc. Output: one event per dynamic warp
+/// instruction the watch selects, in issue order, in injector coordinates
+/// (every issued instruction counts toward its group's occurrence).
+struct SiteLog {
+  enum Watch : u8 {
+    kSkip = 0,      ///< record nothing at this pc
+    kAlways = 1,    ///< record every dynamic instance
+    kIfNoLane = 2,  ///< record only instances no lane executes
+  };
 
-  [[nodiscard]] const Profile& profile() const { return profile_; }
-  void reset() { profile_ = {}; }
+  struct Event {
+    InstrGroup group = InstrGroup::kControl;
+    u64 occurrence = 0;  ///< index among the launch's instances of `group`
+    u64 dyn_index = 0;   ///< global dynamic warp-instruction counter
+    u32 pc = 0;
+    u32 exec_mask = 0;   ///< lanes that execute
+  };
 
- private:
-  Profile profile_;
+  std::vector<u8> watch;
+  std::vector<Event> events;
 };
 
 }  // namespace gfi::sim

@@ -1,6 +1,7 @@
 #include "sassim/simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -107,7 +108,7 @@ struct TriggeredPolicy {
 enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
-  kDowngraded,  ///< all hooks done observing: continue on the clean tier
+  kDowngraded,  ///< every strike delivered: continue on the clean tier
 };
 
 }  // namespace
@@ -135,9 +136,9 @@ struct Simulator::Cta {
 // ---------------------------------------------------------------------------
 
 // All mutable launch progress lives here — resident CTA pools, grid cursor,
-// cycle and instruction counters — so a run can stop mid-launch (RunExit::
-// kDowngraded), and a second run under a different policy resumes from the
-// identical architectural state.
+// cycle and instruction counters — so a triggered run can stop once its
+// last strike is delivered (RunExit::kDowngraded), and a clean run resumes
+// from the identical architectural state.
 struct Simulator::Engine {
   const MachineConfig& cfg;
   GlobalMemory& mem;
@@ -162,6 +163,8 @@ struct Simulator::Engine {
   u64 dyn_thread = 0;
   u64 cycle = 0;
   Trap trap;
+  /// Any native observer (opts.profile, opts.site_log) attached.
+  bool observing = false;
 
   /// Hooks the instrumented path calls: all of opts.hooks, or on the
   /// triggered path just the hooks the current instruction strikes.
@@ -191,6 +194,7 @@ struct Simulator::Engine {
         block(block_in),
         params(params_in),
         opts(opts_in),
+        observing(opts_in.profile != nullptr || opts_in.site_log != nullptr),
         hooks(opts_in.hooks) {}
 
   /// Arms one countdown per hook from its trigger(). False (nothing armed)
@@ -307,18 +311,32 @@ struct Simulator::Engine {
     return kind;
   }
 
-  // ---- native profile collection ------------------------------------------
+  // ---- native observers ---------------------------------------------------
 
-  /// Counts one dynamic warp instruction into opts.profile, reproducing
-  /// ProfilerHook's accumulation (which sees the first guard mask).
-  void count_profile(const DecodedInstr& instr, u32 exec) const {
-    Profile& p = *opts.profile;
-    ++p.warp_instrs_by_opcode[static_cast<int>(instr.op)];
-    ++p.warp_instrs_by_group[static_cast<int>(instr.group)];
+  /// Per-group issue counters behind SiteLog::Event::occurrence.
+  std::array<u64, kInstrGroupCount> site_occurrences{};
+
+  /// Records the dynamic warp instruction about to issue at `pc` into
+  /// opts.profile and opts.site_log. `exec` is its first guard mask, the
+  /// one the instrumented tier hands hooks in on_before_instr.
+  void observe(u32 pc, const DecodedInstr& instr, u32 exec) {
+    const auto group = static_cast<int>(instr.group);
     const u64 lanes = static_cast<u64>(std::popcount(exec));
-    p.thread_instrs_by_group[static_cast<int>(instr.group)] += lanes;
-    ++p.total_warp_instrs;
-    p.total_thread_instrs += lanes;
+    if (Profile* p = opts.profile) {
+      ++p->warp_instrs_by_opcode[static_cast<int>(instr.op)];
+      ++p->warp_instrs_by_group[group];
+      p->thread_instrs_by_group[group] += lanes;
+      ++p->total_warp_instrs;
+      p->total_thread_instrs += lanes;
+    }
+    if (SiteLog* log = opts.site_log) {
+      const u64 occurrence = site_occurrences[group]++;
+      const u8 watch = log->watch[pc];
+      if (watch == SiteLog::kAlways ||
+          (watch == SiteLog::kIfNoLane && exec == 0)) {
+        log->events.push_back({instr.group, occurrence, dyn_warp, pc, exec});
+      }
+    }
   }
 
   // ---- one dynamic warp instruction ---------------------------------------
@@ -335,9 +353,9 @@ struct Simulator::Engine {
       ctx.warp_state = &warp;
 
       ctx.exec_mask = warp.guard_mask(instr.guard_pred, instr.guard_negated);
+      if (observing) observe(warp.pc, instr, ctx.exec_mask);
       ++dyn_warp;
       dyn_thread += static_cast<u64>(std::popcount(ctx.exec_mask));
-      if (opts.profile) count_profile(instr, ctx.exec_mask);
 
       for (InstrumentHook* hook : hooks) {
         hook->on_before_instr(ctx);
@@ -368,9 +386,9 @@ struct Simulator::Engine {
           instr.guarded
               ? warp.guard_mask_fast(instr.guard_pred, instr.guard_negated)
               : warp.active();
+      if (observing) observe(warp.pc, instr, exec);
       ++dyn_warp;
       dyn_thread += static_cast<u64>(std::popcount(exec));
-      if (opts.profile) count_profile(instr, exec);
       return dispatch<Policy>(cta, warp, instr, exec, nullptr);
     }
   }
@@ -1080,7 +1098,7 @@ struct Simulator::Engine {
   // ---- the scheduler loop -------------------------------------------------
 
   // Runs the launch state forward under one instrumentation policy until it
-  // completes, traps, or (instrumented only) every hook is done observing.
+  // completes, traps, or (triggered only) every strike has been delivered.
   template <typename Policy>
   RunExit run() {
     // Per-opcode issue latencies with the memory/shared overrides baked in,
@@ -1110,7 +1128,7 @@ struct Simulator::Engine {
     // fast-forward, and an SM whose pool drains can never wake again —
     // admit() backfills only from the SM's own retirement scan, so once
     // `resident[sm]` is empty (grid exhausted) it stays empty. Holds on
-    // re-entry after a mid-launch downgrade for the same reason.
+    // re-entry after a triggered run for the same reason.
     std::vector<u32> busy;
     busy.reserve(cfg.num_sms);
     for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
@@ -1118,24 +1136,6 @@ struct Simulator::Engine {
     }
 
     while (resident_count > 0) {
-      if constexpr (Policy::kInstrumented) {
-        // Mid-launch downgrade: once every attached hook has finished
-        // observing (e.g. a one-shot injector whose fault has fired), the
-        // remaining instructions cannot be affected by instrumentation, so
-        // the caller re-enters on the clean tier. Checked at a cycle
-        // boundary; an explicitly pinned instrumented engine never
-        // downgrades (benchmark/equivalence baseline).
-        if (!opts.hooks.empty() && opts.engine != EngineTier::kInstrumented) {
-          bool all_done = true;
-          for (InstrumentHook* hook : opts.hooks) {
-            if (!hook->done_observing()) {
-              all_done = false;
-              break;
-            }
-          }
-          if (all_done) return RunExit::kDowngraded;
-        }
-      }
       if constexpr (Policy::kTriggered) {
         // Every countdown has struck: the hooks are inert (the trigger
         // contract), so the rest of the launch runs on the clean tier.
@@ -1280,6 +1280,9 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
         std::to_string(program.num_params()) + " params, got " +
         std::to_string(params.size()));
   }
+  if (options.site_log && options.site_log->watch.size() != program.size()) {
+    return Status::invalid_argument("site log watch must hold one byte per pc");
+  }
   const u32 threads_per_cta = static_cast<u32>(block.count());
   const u32 occupancy = config_.ctas_per_sm(threads_per_cta, program.num_regs(),
                                             program.shared_bytes());
@@ -1301,30 +1304,25 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
 
   for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
 
-  // Tier selection. Hook-free launches — golden runs included — run the
-  // clean tier. Hooked launches whose hooks all declare a strike trigger
-  // count down to the strike on the clean tier, run only the struck
-  // instruction(s) instrumented, then downgrade. Other hooked launches (and
-  // an explicit kInstrumented pin, which never triggers or downgrades) run
-  // instrumented; once every hook is done observing, they too resume on the
-  // clean tier from the identical launch state. Both tiers are bit-identical
-  // in every architecturally observable way.
+  // Tier selection. Hook-free launches — golden and prune-map runs
+  // included — run the clean tier. Hooked launches whose hooks all declare a
+  // strike trigger count down to the strike on the clean tier, run only the
+  // struck instruction(s) instrumented and finish clean: the trigger is the
+  // one way off the instrumented tier. Other hooked launches, and an
+  // explicit kInstrumented pin, run instrumented from start to end. Both
+  // tiers are bit-identical in every architecturally observable way.
   const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
   bool downgraded = false;
   if (options.hooks.empty() && !pin_instrumented) {
     engine.run<CleanPolicy>();
-  } else {
-    RunExit exit;
-    if (!pin_instrumented && engine.arm_triggers()) {
-      exit = engine.run<TriggeredPolicy>();
-    } else {
-      exit = engine.run<InstrumentedPolicy>();
-      engine.instrumented_warp = engine.dyn_warp;
-    }
-    if (exit == RunExit::kDowngraded) {
+  } else if (!pin_instrumented && engine.arm_triggers()) {
+    if (engine.run<TriggeredPolicy>() == RunExit::kDowngraded) {
       downgraded = true;
       engine.run<CleanPolicy>();
     }
+  } else {
+    engine.run<InstrumentedPolicy>();
+    engine.instrumented_warp = engine.dyn_warp;
   }
 
   LaunchResult result;

@@ -24,18 +24,20 @@
 namespace gfi::sim {
 
 struct Profile;
+struct SiteLog;
 
 /// Execution tier the engine runs a launch on. There are two: the hook-free
 /// clean tier (templated over exec_vec.h's SIMD row kernels) and the
-/// instrumented tier that drives hooks and serves as the reference. Hooked
-/// launches run instrumented, except that the native strike trigger (see
-/// InstrumentHook::trigger) runs all but the struck instruction clean. Both
+/// instrumented tier that drives hooks and serves as the reference. A hooked
+/// launch whose hooks all declare a strike trigger (see
+/// InstrumentHook::trigger) runs everything but the struck instruction
+/// clean; any other hooked launch runs instrumented from start to end. Both
 /// tiers are bit-identical in every architecturally observable way —
 /// results, traps, cycles, dynamic-instruction counts, journals — differing
 /// only in speed.
 enum class EngineTier : u8 {
   kAuto,          ///< clean whenever no hook observes (default)
-  kInstrumented,  ///< always the instrumented template (no downgrade)
+  kInstrumented,  ///< always the instrumented template (no trigger)
 };
 
 /// Per-launch options.
@@ -47,16 +49,16 @@ struct LaunchOptions {
   /// when every hook declares a strike trigger, around its struck
   /// instruction only). A launch with no hooks runs hook-free.
   std::vector<InstrumentHook*> hooks;
-  /// When set, the engine accumulates a dynamic-instruction Profile here
-  /// natively — no ProfilerHook needed, so a profile-only launch still
-  /// takes the clean path. Counts match ProfilerHook's exactly.
+  /// Native observers the engine fills itself, on whichever tier runs, so
+  /// an observed launch stays hook-free. The watch holds one byte per pc.
   Profile* profile = nullptr;
+  SiteLog* site_log = nullptr;
   /// Tier selection. kAuto runs clean when hook-free and up to a strike
-  /// trigger, instrumented while hooks without a trigger observe, and clean
-  /// again after a mid-launch downgrade. kInstrumented pins the exact
+  /// trigger, instrumented when a hook without a trigger is attached, and
+  /// clean again after the last strike. kInstrumented pins the exact
   /// pre-refactor inner loop (context construction, double guard-mask
-  /// computation, hook walks), never honours a trigger and never
-  /// downgrades — benchmark/equivalence baseline.
+  /// computation, hook walks) for the whole launch and never honours a
+  /// trigger — benchmark/equivalence baseline.
   EngineTier engine = EngineTier::kAuto;
 };
 
@@ -66,17 +68,15 @@ struct LaunchResult {
   u64 dyn_warp_instrs = 0;    ///< dynamic warp instructions executed
   u64 dyn_thread_instrs = 0;  ///< sum of active lanes over those
   /// Those of dyn_warp_instrs executed on the instrumented tier: the struck
-  /// instruction(s) of a triggered launch (0 if never reached), the prefix
-  /// up to the downgrade of an untriggered hooked launch, all of them under
+  /// instruction(s) of a triggered launch (0 if never reached), all of them
+  /// for a launch with an untriggered hook or under
   /// EngineTier::kInstrumented, 0 for a hook-free launch.
   u64 instrumented_warp_instrs = 0;
   u64 cycles = 0;             ///< timing-model cycles
   ecc::EccCounters ecc;       ///< ECC events observed during the launch
-  /// True when a hooked launch resumed hook-free mid-run: every hook
-  /// finished observing, or every strike trigger's instruction executed.
-  /// A triggered launch therefore reports true exactly when the
-  /// instrumented reference would have downgraded (the strike was reached
-  /// and work remained at the next cycle boundary).
+  /// True when a triggered launch reached its last strike with work left at
+  /// the next cycle boundary, and finished there on the plain clean tier.
+  /// False for every other launch.
   bool downgraded = false;
 
   [[nodiscard]] bool ok() const { return !trap.fired(); }

@@ -1,24 +1,29 @@
 // Execution-path equivalence tests for the tiered engine: the clean tier
 // must be bit-identical to the instrumented tier, concurrent launches must
-// safely share one Program's decode cache, the mid-launch downgrade must
-// land on the clean tier without perturbing results, pending faults must
-// route the clean tier onto the checked paths, the native strike trigger
-// must reproduce the pinned instrumented tier for every injection mode, and
-// the hook contract (invocation order, launch_end on every exit path,
+// safely share one Program's decode cache, the drop to the clean tier after
+// a strike must not perturb results, pending faults must route the clean
+// tier onto the checked paths, the native strike trigger must reproduce the
+// pinned instrumented tier for every injection mode, every site
+// --prune=dead credits on mc_pi_swift must simulate to the credited record,
+// and the hook contract (invocation order, launch_end on every exit path,
 // trigger delivery) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fi/campaign.h"
 #include "fi/fault_model.h"
 #include "fi/injector.h"
+#include "harden/swift.h"
+#include "oracle_hooks.h"
+#include "sa/ace.h"
 #include "sassim/defuse.h"
-#include "sassim/profiler.h"
 #include "sassim/tracer.h"
 #include "sim_test_util.h"
 #include "workloads/workload.h"
@@ -35,10 +40,12 @@ using sim::Operand;
 using sim::TrapKind;
 using sim_test::must;
 
-/// Everything a launch can externally produce, for bit-exact comparison.
+/// Everything a launch can externally produce, for bit-exact comparison,
+/// plus the workload's output check when the launch did not trap.
 struct RunOutput {
   LaunchResult result;
   sim::GlobalMemory::Snapshot memory;
+  std::optional<wl::Workload::Checked> checked;
 };
 
 bool same_regs(const sim::RegList& a, const sim::RegList& b) {
@@ -76,7 +83,13 @@ RunOutput run_workload(const std::string& workload_name,
   auto launch = device.launch(program, spec.value().grid, spec.value().block,
                               spec.value().params, options);
   EXPECT_TRUE(launch.is_ok()) << launch.status().to_string();
-  return RunOutput{launch.value(), device.snapshot()};
+  RunOutput out{launch.value(), device.snapshot(), std::nullopt};
+  if (!out.result.trap.fired()) {
+    auto checked = workload->check(device);
+    EXPECT_TRUE(checked.is_ok()) << checked.status().to_string();
+    out.checked = checked.value();
+  }
+  return out;
 }
 
 // Workloads with guards, divergence, loops, atomics, and FP — the shapes
@@ -133,39 +146,52 @@ TEST(ExecPaths, PendingFaultRoutesCleanTierOntoCheckedPaths) {
                                 spec.value().block, spec.value().params,
                                 options);
     ASSERT_TRUE(launch.is_ok()) << launch.status().to_string();
-    outputs.push_back(RunOutput{launch.value(), device.snapshot()});
+    outputs.push_back(RunOutput{launch.value(), device.snapshot(), {}});
   }
   for (size_t i = 1; i < outputs.size(); ++i) {
     EXPECT_TRUE(identical(outputs[0], outputs[i])) << "tier index " << i;
   }
 }
 
+/// A trigger at absolute dynamic index `occurrence` whose callbacks do
+/// nothing: the launch's only observer finishes observing at that strike.
+class InertTriggerHook final : public sim::InstrumentHook {
+ public:
+  explicit InertTriggerHook(u64 occurrence) : occurrence_(occurrence) {}
+  [[nodiscard]] std::optional<sim::StrikeTrigger> trigger() const override {
+    sim::StrikeTrigger t;
+    t.occurrence = occurrence_;
+    return t;
+  }
+
+ private:
+  u64 occurrence_;
+};
+
 TEST(ExecPaths, EmptyHookVectorTakesSameResultsAsInstrumented) {
-  // No hooks and hooks-that-all-finished must agree on every counter the
-  // paper's experiments read, whichever tier the remainder runs on.
+  // No hooks and hooks that have all finished must agree on every counter
+  // the paper's experiments read, whichever tier the remainder runs on.
   for (const char* name : kPathWorkloads) {
     LaunchOptions clean;
     const RunOutput a = run_workload(name, nullptr, clean);
 
-    sim::TracerHook tracer(/*max_entries=*/4);
-    tracer.stop_after(0);  // done_observing after the first instruction
+    InertTriggerHook first(/*occurrence=*/0);
     LaunchOptions downgrading;
-    downgrading.hooks.push_back(&tracer);
+    downgrading.hooks.push_back(&first);
     const RunOutput c = run_workload(name, nullptr, downgrading);
-    EXPECT_TRUE(identical(a, c)) << name << " (mid-launch downgrade)";
-    // The downgrade must land on the clean tier and report itself.
+    EXPECT_TRUE(identical(a, c)) << name << " (downgrade after the strike)";
+    // The strike is the one instrumented instruction; the rest runs clean
+    // and the launch reports the drop.
     EXPECT_TRUE(c.result.downgraded) << name;
-    EXPECT_LT(c.result.instrumented_warp_instrs, c.result.dyn_warp_instrs)
-        << name;
+    EXPECT_EQ(c.result.instrumented_warp_instrs, 1u) << name;
 
-    // Pinning kInstrumented suppresses the downgrade entirely.
-    sim::TracerHook tracer3(/*max_entries=*/4);
-    tracer3.stop_after(0);
-    LaunchOptions no_downgrade;
-    no_downgrade.hooks.push_back(&tracer3);
-    no_downgrade.engine = sim::EngineTier::kInstrumented;
-    const RunOutput e = run_workload(name, nullptr, no_downgrade);
-    EXPECT_TRUE(identical(a, e)) << name << " (downgrade suppressed)";
+    // Pinning kInstrumented ignores the trigger: instrumented throughout.
+    InertTriggerHook pinned_hook(/*occurrence=*/0);
+    LaunchOptions pinned;
+    pinned.hooks.push_back(&pinned_hook);
+    pinned.engine = sim::EngineTier::kInstrumented;
+    const RunOutput e = run_workload(name, nullptr, pinned);
+    EXPECT_TRUE(identical(a, e)) << name << " (pinned instrumented)";
     EXPECT_FALSE(e.result.downgraded) << name;
     EXPECT_EQ(e.result.instrumented_warp_instrs, e.result.dyn_warp_instrs)
         << name;
@@ -213,7 +239,7 @@ TEST(ExecPaths, NativeProfileMatchesProfilerHook) {
     const RunOutput clean_run = run_workload(name, nullptr, clean);
     EXPECT_EQ(clean_run.result.instrumented_warp_instrs, 0u) << name;
 
-    sim::ProfilerHook hook;
+    sim_test::ProfilerHook hook;
     LaunchOptions instrumented;
     instrumented.hooks.push_back(&hook);
     (void)run_workload(name, nullptr, instrumented);
@@ -480,7 +506,7 @@ TEST(ExecPaths, InjectorWithObservingHookTakesInstrumentedPath) {
       run_injected("gemm", machine, site, sim::EngineTier::kInstrumented);
   ASSERT_TRUE(ref.effect.activated);
 
-  sim::ProfilerHook profiler;
+  sim_test::ProfilerHook profiler;
   const InjectedOutput profiled = run_injected(
       "gemm", machine, site, sim::EngineTier::kAuto, 0, {&profiler});
   sim::TracerHook tracer(/*max_entries=*/1);
@@ -521,6 +547,132 @@ TEST(ExecPaths, WatchdogBeforeTriggerMatchesInstrumented) {
   EXPECT_FALSE(out.effect.activated);
 }
 
+/// The record a simulated injection produces with recovery off: what
+/// Campaign::run_single would journal for this launch.
+fi::InjectionRecord simulated_record(const fi::FaultSite& site,
+                                     const InjectedOutput& out) {
+  fi::InjectionRecord record;
+  record.site = site;
+  record.effect = out.effect;
+  record.dyn_instrs = out.run.result.dyn_warp_instrs;
+  if (out.run.result.trap.fired()) {
+    record.outcome =
+        out.run.result.trap.kind == TrapKind::kWatchdogTimeout
+            ? fi::Outcome::kHang
+            : fi::Outcome::kDue;
+  } else if (!out.effect.activated) {
+    record.outcome = fi::Outcome::kNotActivated;
+  } else if (out.run.checked->trap != TrapKind::kNone) {
+    record.outcome = fi::Outcome::kDue;
+  } else if (out.effect.corrected_by_ecc) {
+    record.outcome = fi::Outcome::kDetectedCorrected;
+  } else if (out.run.checked->result.bitwise_equal) {
+    record.outcome = fi::Outcome::kMasked;
+  } else {
+    record.outcome = out.run.checked->result.within_tolerance
+                         ? fi::Outcome::kMaskedTolerated
+                         : fi::Outcome::kSdc;
+  }
+  return record;
+}
+
+/// Simulates every entry of `workload`'s prune map on `machine` that
+/// --prune=dead credits, at its exact (group, occurrence) site (IOV for
+/// register writers, PRED for predicate writers), and every partially dead
+/// entry at its lowest and highest statically dead bit (what
+/// --prune=dead-bits credits there). Each simulated record must equal the
+/// one Campaign::credit_pruned writes, field by field. Returns how many
+/// sites and how many partially dead entries were simulated.
+std::pair<u64, u64> expect_credits_simulate(const std::string& workload,
+                                            const char* arch_name,
+                                            const sim::MachineConfig& machine) {
+  fi::CampaignConfig config;
+  config.workload = workload;
+  config.machine = machine;
+  auto map_or = fi::Campaign::build_prune_map(config);
+  EXPECT_TRUE(map_or.is_ok()) << map_or.status().to_string();
+  if (!map_or.is_ok()) return {0, 0};
+  const sa::PruneMap& map = map_or.value();
+  const u64 golden_dyn =
+      run_workload(workload, nullptr, LaunchOptions{}, machine)
+          .result.dyn_warp_instrs;
+
+  u64 simulated = 0;
+  u64 partial = 0;
+  auto check = [&](const sa::PruneEntry& entry, sim::InstrGroup group,
+                   u32 bit) {
+    fi::FaultSite site;
+    site.model = {fi::mode_targets_group(fi::InjectionMode::kIov, group)
+                      ? fi::InjectionMode::kIov
+                      : fi::InjectionMode::kPred,
+                  fi::BitFlipModel::kSingle};
+    site.group = group;
+    site.target_occurrence = entry.occurrence;
+    site.lane_sel = static_cast<u32>(entry.occurrence * 7 + 3);
+    site.bit_sel = bit;
+    fi::InjectionRecord credited;
+    credited.site = site;
+    fi::Campaign::credit_pruned(map, entry, golden_dyn, credited);
+    const InjectedOutput out =
+        run_injected(workload, machine, site, sim::EngineTier::kAuto,
+                     /*watchdog=*/4 * golden_dyn);
+    const fi::InjectionRecord got = simulated_record(site, out);
+    const std::string what = workload + "/" + arch_name + " " +
+                             site.to_string() + " pc " +
+                             std::to_string(entry.pc);
+    EXPECT_EQ(got.outcome, credited.outcome) << what;
+    EXPECT_EQ(got.effect.activated, credited.effect.activated) << what;
+    EXPECT_EQ(got.effect.struck_lane, credited.effect.struck_lane) << what;
+    EXPECT_EQ(got.dyn_instrs, credited.dyn_instrs) << what;
+    EXPECT_EQ(got.effect.struck_dyn_index, credited.effect.struck_dyn_index)
+        << what;
+    ++simulated;
+  };
+  for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+    const auto group = static_cast<sim::InstrGroup>(g);
+    for (const sa::PruneEntry& entry : map.entries[g]) {
+      if (entry.exec_mask == 0 || entry.cls != sa::SiteClass::kPartialDead) {
+        check(entry, group, static_cast<u32>(entry.occurrence % 32));
+        continue;
+      }
+      const u32 bits = map.analysis.strike_span(entry.pc) * 32u;
+      std::optional<u32> lowest;
+      std::optional<u32> highest;
+      for (u32 bit = 0; bit < bits; ++bit) {
+        if (!map.analysis.strike_bit_dead(entry.pc, bit)) continue;
+        if (!lowest) lowest = bit;
+        highest = bit;
+      }
+      EXPECT_TRUE(lowest.has_value()) << "partial site with no dead bit";
+      if (!lowest) continue;
+      check(entry, group, *lowest);
+      if (*highest != *lowest) check(entry, group, *highest);
+      ++partial;
+    }
+  }
+  return {simulated, partial};
+}
+
+TEST(ExecPaths, McPiSwiftDeadSitesSimulateToTheirCreditedRecords) {
+  // Record-by-record soundness of the analytic credits on mc_pi_swift, the
+  // workload whose dead-site share is the largest in R-S1, on both paper
+  // archs. mc_pi_swift has no partially dead site, so histogram (narrow
+  // loads, partially dead registers) covers the dead-bit half.
+  harden::register_hardened_workloads();
+  const std::pair<const char*, sim::MachineConfig> archs[] = {
+      {"a100", arch::a100()}, {"h100", arch::h100()}};
+  for (const auto& [arch_name, machine] : archs) {
+    const auto [simulated, partial] =
+        expect_credits_simulate("mc_pi_swift", arch_name, machine);
+    EXPECT_GT(simulated, 100u) << arch_name;
+    EXPECT_EQ(partial, 0u) << arch_name;
+  }
+  const auto [simulated, partial] =
+      expect_credits_simulate("histogram", "a100", arch::a100());
+  EXPECT_GT(partial, 0u);
+  EXPECT_GT(simulated, partial);
+}
+
 /// Declares a trigger at absolute dynamic index `occurrence` and logs every
 /// callback it receives; optionally requests `trap` at its strike.
 class TriggerLogHook final : public sim::InstrumentHook {
@@ -545,16 +697,13 @@ class TriggerLogHook final : public sim::InstrumentHook {
   }
   void on_after_instr(sim::InstrContext& ctx) override {
     log_->push_back(id_ + ":after@" + std::to_string(ctx.dyn_index));
-    struck_ = true;
   }
-  [[nodiscard]] bool done_observing() const override { return struck_; }
 
  private:
   std::vector<std::string>* log_;
   std::string id_;
   u64 occurrence_;
   TrapKind trap_;
-  bool struck_ = false;
 };
 
 /// Six dynamic instructions on one warp: five MOVs and EXIT.

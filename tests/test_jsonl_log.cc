@@ -1,7 +1,7 @@
 // Seeded byte-level mutation tests for the append-only log layer
 // (jsonl::Tail and jsonl::Writer, common/jsonl.h) and every reader built on
 // it: campaign journals, the plan file, the supervisor state file,
-// heartbeat sidecars, plus the single-line lease file.
+// heartbeat sidecars, plus the single-line lease and golden-cache files.
 //
 // Each log is grown the way its writer grows it (valid lines handed out in
 // random-sized chunks, so lines tear) and damaged the way crashes and bad
@@ -35,6 +35,7 @@
 #include "common/jsonl.h"
 #include "common/rng.h"
 #include "fi/campaign.h"
+#include "fi/golden_cache.h"
 #include "fi/journal.h"
 #include "fi/lease.h"
 #include "fi/planner.h"
@@ -499,6 +500,96 @@ TEST(LogReaders, ReadLeaseParsesOrRefusesUnderByteMutations) {
   }
   EXPECT_GT(parsed, 0u);
   EXPECT_GT(refused, 0u);
+}
+
+// ------------------------------------------------- golden-cache entries --
+
+bool same_golden(const fi::Campaign::Golden& a, const fi::Campaign::Golden& b) {
+  return a.dyn_instrs == b.dyn_instrs &&
+         a.profile.warp_instrs_by_opcode == b.profile.warp_instrs_by_opcode &&
+         a.profile.warp_instrs_by_group == b.profile.warp_instrs_by_group &&
+         a.profile.thread_instrs_by_group == b.profile.thread_instrs_by_group &&
+         a.profile.total_warp_instrs == b.profile.total_warp_instrs &&
+         a.profile.total_thread_instrs == b.profile.total_thread_instrs;
+}
+
+TEST(LogReaders, GoldenEntryServesTheWrittenProfileOrRefusesUnderMutations) {
+  // A golden-cache entry is one line the cache replaces whole. Damaged, it
+  // must parse to the profile and dynamic count that were written (the key
+  // is compared by the cache; cycles carry no redundancy) or be refused,
+  // never serve a wrong profile.
+  fi::CampaignConfig config;
+  config.workload = "vecadd";
+  config.machine = arch::toy();
+  auto golden = fi::Campaign::golden_run(config);
+  ASSERT_TRUE(golden.is_ok()) << golden.status().to_string();
+  const std::string key = fi::GoldenCache::key_for(config);
+  const std::string line = fi::golden_line(key, golden.value());
+  auto served = [&](const std::string& bytes) {
+    auto parsed = fi::parse_golden_line(bytes.substr(0, bytes.find('\n')));
+    return parsed.is_ok() && parsed.value().first == key
+               ? std::optional<fi::Campaign::Golden>(parsed.value().second)
+               : std::nullopt;
+  };
+  ASSERT_TRUE(served(line).has_value());
+
+  // Every digit of the profile arrays and of the counts they must add up
+  // to, replaced by another digit.
+  const std::size_t counts_from = line.find("\"profile_warp_total\"");
+  const std::size_t dyn_at = line.find("\"dyn\"");
+  const std::size_t cycles_at = line.find("\"cycles\"");
+  ASSERT_NE(counts_from, std::string::npos);
+  u64 digits = 0;
+  for (std::size_t at = dyn_at; at < line.size(); ++at) {
+    if (at >= cycles_at && at < counts_from) continue;
+    if (line[at] < '0' || line[at] > '9') continue;
+    std::string damaged = line;
+    damaged[at] = static_cast<char>('0' + (line[at] - '0' + 3) % 10);
+    EXPECT_FALSE(served(damaged).has_value()) << "digit at " << at;
+    ++digits;
+  }
+  EXPECT_GT(digits, 2u * sim::kOpcodeCount);
+
+  // Seeded damage anywhere in the file.
+  LogModel model(0x901d, "", [&] { return line; });
+  u64 parsed = 0;
+  u64 refused = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    model.step(0, [] { return Result<u64>(u64{0}); });
+    if (step % 3 == 0) model.bytes = line + "\n";  // keep it entry-like
+    const auto got = served(model.corrupted_anywhere());
+    if (got) {
+      EXPECT_TRUE(same_golden(*got, golden.value())) << "step " << step;
+      ++parsed;
+    } else {
+      ++refused;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
+
+  // A damaged entry on disk is discarded: the cache recomputes the golden
+  // run and serves the true profile.
+  const fs::path dir = scratch_dir("golden");
+  auto& cache = fi::GoldenCache::instance();
+  cache.clear();
+  cache.set_directory(dir.string());
+  ASSERT_TRUE(cache.get_or_run(config).is_ok());
+  fs::path entry;
+  for (const auto& file : fs::directory_iterator(dir)) entry = file.path();
+  ASSERT_FALSE(entry.empty());
+  std::string damaged = line;
+  const std::size_t digit = line.find_first_of("123456789", line.find("\"profile_op\""));
+  damaged[digit] = damaged[digit] == '9' ? '8' : static_cast<char>(damaged[digit] + 1);
+  write_file(entry.string(), damaged + "\n");
+  cache.clear();
+  auto recomputed = cache.get_or_run(config);
+  ASSERT_TRUE(recomputed.is_ok()) << recomputed.status().to_string();
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_TRUE(same_golden(recomputed.value(), golden.value()));
+  EXPECT_EQ(read_file(entry.string()), line + "\n");
+  cache.set_directory("");
+  cache.clear();
 }
 
 // ------------------------------------------------- supervisor state file --

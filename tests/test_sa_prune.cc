@@ -8,7 +8,9 @@
 #include "arch/arch.h"
 #include "fi/campaign.h"
 #include "harden/swift.h"
+#include "oracle_hooks.h"
 #include "sa/ace.h"
+#include "sassim/device.h"
 #include "sassim/kernel_builder.h"
 #include "workloads/workload.h"
 
@@ -99,6 +101,95 @@ TEST(SaPrune, PruneMapFindUsesInjectorCoordinates) {
   EXPECT_DOUBLE_EQ(bound.masked_lower_bound(),
                    static_cast<f64>(bound.dead) /
                        static_cast<f64>(bound.eligible));
+}
+
+void expect_maps_equal(const sa::PruneMap& want, const sa::PruneMap& got,
+                       const std::string& what) {
+  EXPECT_EQ(want.occurrences, got.occurrences) << what;
+  for (int g = 0; g < sim::kInstrGroupCount; ++g) {
+    const auto& a = want.entries[g];
+    const auto& b = got.entries[g];
+    ASSERT_EQ(a.size(), b.size()) << what << " group " << g;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::string at = what + " group " + std::to_string(g) +
+                             " entry " + std::to_string(i);
+      EXPECT_EQ(a[i].occurrence, b[i].occurrence) << at;
+      EXPECT_EQ(a[i].dyn_index, b[i].dyn_index) << at;
+      EXPECT_EQ(a[i].pc, b[i].pc) << at;
+      EXPECT_EQ(a[i].exec_mask, b[i].exec_mask) << at;
+      EXPECT_EQ(a[i].op, b[i].op) << at;
+      EXPECT_EQ(a[i].cls, b[i].cls) << at;
+    }
+  }
+}
+
+/// One fault-free launch of `name` on `machine` under `options`; the
+/// device is discarded.
+sim::LaunchResult launch_fault_free(const std::string& name,
+                                    const sim::MachineConfig& machine,
+                                    const sim::LaunchOptions& options) {
+  auto workload = wl::make_workload(name);
+  EXPECT_NE(workload, nullptr) << name;
+  sim::Device device(machine);
+  auto spec = workload->setup(device);
+  EXPECT_TRUE(spec.is_ok()) << spec.status().to_string();
+  auto launch = device.launch(workload->program(), spec.value().grid,
+                              spec.value().block, spec.value().params,
+                              options);
+  EXPECT_TRUE(launch.is_ok()) << launch.status().to_string();
+  EXPECT_FALSE(launch.value().trap.fired()) << name;
+  return launch.value();
+}
+
+// The prune map is recorded natively (sim::SiteLog under sa::prune_watch) on
+// whichever tier the campaign pins. The whole-launch SiteMapOracle hook,
+// which observes every instruction on the instrumented tier, is the
+// reference: entry for entry on every workload, on both paper archs and both
+// tiers, with the hook-free launch running nothing instrumented.
+TEST(SaPrune, NativePruneMapMatchesSiteMapOracle) {
+  harden::register_hardened_workloads();
+  const std::pair<const char*, sim::MachineConfig> archs[] = {
+      {"a100", arch::a100()}, {"h100", arch::h100()}};
+  for (const auto& [arch_name, machine] : archs) {
+    for (const std::string& name : wl::workload_names()) {
+      const std::string what = name + "/" + arch_name;
+      const auto workload = wl::make_workload(name);
+      const sim::Program& program = workload->program();
+      sa::PruneMap oracle;
+      oracle.analysis = sa::StaticSiteAnalysis::analyze(program);
+      sim_test::SiteMapOracle hook(oracle);
+      sim::LaunchOptions observed;
+      observed.hooks.push_back(&hook);
+      (void)launch_fault_free(name, machine, observed);
+
+      sa::PruneMap native;
+      native.analysis = oracle.analysis;
+      sim::SiteLog sites;
+      sites.watch = sa::prune_watch(program, native.analysis);
+      sim::Profile profile;
+      sim::LaunchOptions hook_free;
+      hook_free.site_log = &sites;
+      hook_free.profile = &profile;
+      const sim::LaunchResult ran =
+          launch_fault_free(name, machine, hook_free);
+      EXPECT_EQ(ran.instrumented_warp_instrs, 0u) << what;
+      native.record(program, sites, profile);
+      expect_maps_equal(oracle, native, what + " (native launch)");
+
+      fi::CampaignConfig config = base_config(name, 1, 1);
+      config.machine = machine;
+      for (const sim::EngineTier engine :
+           {sim::EngineTier::kAuto, sim::EngineTier::kInstrumented}) {
+        config.engine = engine;
+        auto map = fi::Campaign::build_prune_map(config);
+        ASSERT_TRUE(map.is_ok()) << what << ": " << map.status().to_string();
+        expect_maps_equal(oracle, map.value(),
+                          what + (engine == sim::EngineTier::kAuto
+                                      ? " (auto)"
+                                      : " (instrumented)"));
+      }
+    }
+  }
 }
 
 void expect_records_identical(const fi::CampaignResult& a,

@@ -216,14 +216,13 @@ TEST(Profiler, CountsMatchLaunchTotals) {
       device.to_device<u32>(counter.value(), std::span<const u32>(&zero, 1))
           .is_ok());
   auto program = make_count_kernel();
-  sim::ProfilerHook profiler;
+  sim::Profile profile;
   LaunchOptions options;
-  options.hooks.push_back(&profiler);
+  options.profile = &profile;
   const u64 params[] = {counter.value()};
   auto launch = device.launch(program, Dim3(2), Dim3(64), params, options);
   ASSERT_TRUE(launch.is_ok());
 
-  const sim::Profile& profile = profiler.profile();
   EXPECT_EQ(profile.total_warp_instrs, launch.value().dyn_warp_instrs);
   EXPECT_EQ(profile.total_thread_instrs, launch.value().dyn_thread_instrs);
   // Kernel: LDC + ATOMG + EXIT per warp, 4 warps total.
@@ -231,17 +230,6 @@ TEST(Profiler, CountsMatchLaunchTotals) {
             4u);
   EXPECT_EQ(profile.group_warp_count(sim::InstrGroup::kAtomic), 4u);
   EXPECT_EQ(profile.group_thread_count(sim::InstrGroup::kAtomic), 4u * 32u);
-}
-
-TEST(Profiler, MergeAddsCounts) {
-  sim::Profile a, b;
-  a.total_warp_instrs = 5;
-  a.warp_instrs_by_group[0] = 5;
-  b.total_warp_instrs = 7;
-  b.warp_instrs_by_group[0] = 7;
-  a.merge(b);
-  EXPECT_EQ(a.total_warp_instrs, 12u);
-  EXPECT_EQ(a.warp_instrs_by_group[0], 12u);
 }
 
 }  // namespace
