@@ -2,8 +2,8 @@
 // records natively: ProfilerHook for LaunchOptions::profile, and
 // SiteMapOracle for the prune map's site log (LaunchOptions::site_log with
 // sa::prune_watch). Each runs on the instrumented tier and sees every
-// dynamic instruction through the hook interface, the way the engine
-// computed these before it counted them itself.
+// dynamic instruction through the hook interface, so it checks the native
+// counts through a path that shares none of their code.
 #pragma once
 
 #include <bit>
