@@ -31,6 +31,17 @@
 
 namespace gfi::jsonl {
 
+/// FNV-1a over `bytes`: names golden-cache files and checksums their
+/// entries.
+inline u64 fnv1a(const std::string& bytes) {
+  u64 hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 // ------------------------------------------------------------- writing ---
 
 /// Appends `,"key":` (or `"key":` right after the opening brace). A defensive

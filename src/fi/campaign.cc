@@ -1,9 +1,11 @@
 #include "fi/campaign.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <map>
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "common/bitutil.h"
@@ -277,196 +279,384 @@ void Campaign::credit_pruned(const sa::PruneMap& map,
                                              : Outcome::kMaskedTolerated;
 }
 
-Result<InjectionRecord> Campaign::run_single(
-    const CampaignConfig& config, const sim::Profile& profile,
-    u64 golden_dyn_instrs, std::size_t run_index,
-    const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
-    std::optional<sim::InstrGroup> stratum) {
-  Rng rng = Rng::for_stream(config.seed, run_index);
-  auto site = sample_site(config, profile, golden_dyn_instrs, rng, stratum);
-  if (!site.is_ok()) return site.status();
+namespace {
 
-  // Quarantined injections get their site sampled (the RNG stream and thus
-  // every other record stays bit-identical) but are never simulated — this
-  // is how the supervisor stops a poison injection from killing worker
-  // after worker. attempts = 0 marks "never launched".
-  if (!config.quarantine.empty() && config.is_quarantined(run_index)) {
-    InjectionRecord record;
-    record.site = site.value();
-    record.outcome = record.pre_recovery = Outcome::kQuarantined;
-    record.attempts = 0;
-    record.dyn_instrs = 0;
-    return record;
+/// Most slots one golden sweep serves. Every chunk pays one sweep to its
+/// last strike, so the sweep's share of a slot falls as 1/K; past that, a
+/// larger K only coarsens the pool's load balancing (measured on gemm-iov,
+/// see ROADMAP).
+constexpr std::size_t kChunkSlots = 16;
+
+/// One slot of a chunk: its global index and planner-pinned stratum.
+struct ChunkSlot {
+  u64 index = 0;
+  std::optional<sim::InstrGroup> stratum;
+};
+
+/// What a chunk produced for one slot.
+struct SlotResult {
+  Result<InjectionRecord> record = Status::internal("slot not run");
+  bool pruned = false;  ///< credited by the prune map, not simulated
+};
+
+/// The pause queue a strike trigger counts in: its one group's, or the
+/// all-groups queue keyed on the dynamic index. Any other mask has none.
+std::optional<std::size_t> pause_queue(const sim::StrikeTrigger& trigger) {
+  if (trigger.group_mask == sim::StrikeTrigger::kAllGroups) {
+    return sim::PauseQueues::kDynQueue;
   }
-  // Poison-injection modeling for tests/chaos: placed after the quarantine
-  // short-circuit so a quarantined index no longer triggers its kill.
-  if (fp::enabled()) fp::hit("inject.execute", run_index);
+  if (std::has_single_bit(trigger.group_mask)) {
+    return static_cast<std::size_t>(std::countr_zero(trigger.group_mask));
+  }
+  return std::nullopt;
+}
 
-  // Analytic fast path: nothing after sample_site consumes the RNG for
-  // IOV/PRED, so skipping the simulation cannot perturb any other record.
-  // Partial-dead entries fall through to the full simulation unless the
-  // sampled bits are all provably dead (credit_allowed).
-  if (prune_map && site.value().group &&
-      (config.model.mode == InjectionMode::kIov ||
-       config.model.mode == InjectionMode::kPred)) {
-    const sa::PruneEntry* entry = prune_map->find(
-        *site.value().group, site.value().target_occurrence);
-    if (entry && credit_allowed(config, *prune_map, *entry, site.value())) {
+/// Runs one chunk of injection slots and returns their records in slot
+/// order. Every slot's site is sampled first (a pure function of seed,
+/// index and stratum); quarantined and prunable slots are credited. The
+/// rest share one workload setup on a golden device: a hook-free golden
+/// launch sweeps forward, pausing at the cycle boundary before each strike
+/// (sim::PauseQueues), and each injection runs its strike and tail on a
+/// work device and launch state copied from the sweep at that pause. The
+/// sweep stops after the last pause. Memory mode, the instrumented pin,
+/// and every retry after the first attempt fork at launch start instead.
+std::vector<SlotResult> run_chunk(const CampaignConfig& config,
+                                  const sim::Profile& profile,
+                                  u64 golden_dyn_instrs,
+                                  std::span<const ChunkSlot> slots,
+                                  const sa::PruneMap* prune_map,
+                                  obs::Registry* metrics) {
+  std::vector<SlotResult> out(slots.size());
+  struct Pending {
+    std::size_t k = 0;  ///< position in `slots`
+    FaultSite site;
+    Rng rng;  ///< the slot's stream after sample_site (memory mode draws on)
+  };
+  std::vector<Pending> pending;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const u64 index = slots[k].index;
+    Rng rng = Rng::for_stream(config.seed, index);
+    auto site = sample_site(config, profile, golden_dyn_instrs, rng,
+                            slots[k].stratum);
+    if (!site.is_ok()) {
+      out[k].record = site.status();
+      continue;
+    }
+    // Quarantined injections get their site sampled (the RNG stream and
+    // thus every other record stays bit-identical) but are never simulated
+    // — this is how the supervisor stops a poison injection from killing
+    // worker after worker. attempts = 0 marks "never launched".
+    if (!config.quarantine.empty() && config.is_quarantined(index)) {
       InjectionRecord record;
       record.site = site.value();
-      credit_pruned(*prune_map, *entry, golden_dyn_instrs, record);
-      if (pruned_out) *pruned_out = true;
-      return record;
+      record.outcome = record.pre_recovery = Outcome::kQuarantined;
+      record.attempts = 0;
+      record.dyn_instrs = 0;
+      out[k].record = std::move(record);
+      continue;
     }
-  }
+    // Poison-injection modeling for tests/chaos: placed after the
+    // quarantine short-circuit so a quarantined index no longer triggers
+    // its kill, and before anything of the chunk is simulated.
+    if (fp::enabled()) fp::hit("inject.execute", index);
 
+    // Analytic fast path: nothing after sample_site consumes the RNG for
+    // IOV/PRED, so skipping the simulation cannot perturb any other record.
+    // Partial-dead entries fall through to the full simulation unless the
+    // sampled bits are all provably dead (credit_allowed).
+    if (prune_map && site.value().group &&
+        (config.model.mode == InjectionMode::kIov ||
+         config.model.mode == InjectionMode::kPred)) {
+      const sa::PruneEntry* entry = prune_map->find(
+          *site.value().group, site.value().target_occurrence);
+      if (entry && credit_allowed(config, *prune_map, *entry, site.value())) {
+        InjectionRecord record;
+        record.site = site.value();
+        Campaign::credit_pruned(*prune_map, *entry, golden_dyn_instrs, record);
+        out[k].record = std::move(record);
+        out[k].pruned = true;
+        continue;
+      }
+    }
+    pending.push_back({k, site.value(), rng});
+  }
+  if (pending.empty()) return out;
+
+  auto fail_pending = [&](const Status& status) {
+    for (const Pending& p : pending) out[p.k].record = status;
+  };
   auto workload = wl::make_workload(config.workload);
   if (!workload) {
-    return Status::not_found("unknown workload '" + config.workload + "'");
+    fail_pending(
+        Status::not_found("unknown workload '" + config.workload + "'"));
+    return out;
   }
-  sim::Device device(config.machine);
-  auto spec = workload->setup(device);
-  if (!spec.is_ok()) return spec.status();
-
-  InjectionRecord record;
-  record.site = site.value();
+  sim::Device golden(config.machine);
+  auto spec_or = workload->setup(golden);
+  if (!spec_or.is_ok()) {
+    fail_pending(spec_or.status());
+    return out;
+  }
+  const wl::LaunchSpec& spec = spec_or.value();
+  const sim::Program& program = workload->program();
+  // The pre-launch checkpoint every retry restarts from: the golden device
+  // itself moves on with the sweep.
+  sim::GlobalMemory::Snapshot checkpoint;
+  if (config.max_retries > 0) checkpoint = golden.snapshot();
 
   const bool memory_mode = config.model.mode == InjectionMode::kMemory;
-  // Memory mode samples its struck word once, before any attempt, so a
-  // stuck-at retry re-applies the identical upset (and so the rng sequence
-  // matches pre-recovery campaigns bit-exactly).
-  std::optional<MemoryFault> mem_fault;
-  if (memory_mode) {
-    mem_fault = sample_memory_fault(device.memory(), site.value(), rng);
-  }
   const u64 watchdog = watchdog_for(config, golden_dyn_instrs);
   const bool stuck_at =
       config.model.persistence == FaultPersistence::kStuckAt;
 
-  bool not_activated = false;
-  u64 first_launch_sbe = 0;
-  std::optional<wl::Workload::Checked> final_check;
-
   // Dispatch-tier telemetry, keyed on what the engine actually ran
   // (LaunchResult::instrumented_warp_instrs, LaunchResult::downgraded)
-  // rather than what the launch requested: mid-launch downgrades, and
-  // dynamic warp instructions per tier, whose two counters sum to the
-  // launched records' journal `dyn` total. Purely additive: counters go
-  // only to --metrics-out snapshots, never journals, so tier pins cannot
-  // perturb journal diffs.
+  // rather than what the launch requested: downgrades after the strike,
+  // and dynamic warp instructions per tier. A forked launch's count
+  // includes the prefix it inherited from the sweep, so instrumented +
+  // fast + inherited sum to the launched records' journal `dyn` total;
+  // sweep counts what the golden sweeps executed. Purely additive:
+  // counters go only to --metrics-out snapshots, never journals, so tier
+  // pins cannot perturb journal diffs.
   obs::Counter* tier_downgrades = nullptr;
   obs::Counter* instrumented_winstrs = nullptr;
   obs::Counter* fast_winstrs = nullptr;
+  obs::Counter* inherited_winstrs = nullptr;
+  obs::Counter* sweep_winstrs = nullptr;
   if (metrics) {
     tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
     instrumented_winstrs =
         &metrics->counter("engine.dispatch.instrumented_winstrs");
     fast_winstrs = &metrics->counter("engine.dispatch.fast_winstrs");
+    inherited_winstrs = &metrics->counter("engine.dispatch.inherited_winstrs");
+    sweep_winstrs = &metrics->counter("engine.dispatch.sweep_winstrs");
   }
 
-  // One attempt = arm fault (if due) + launch + result check. The retry
-  // executor restores the pre-attempt checkpoint between calls, so every
-  // attempt sees bit-identical initial device state.
-  auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
-    const bool armed = attempt == 0 || stuck_at;
-    InjectorHook injector(site.value(), device.config());
-    sim::LaunchOptions options;
-    options.watchdog_instrs = watchdog;
-    options.engine = config.engine;
+  sim::Device work(config.machine);
+  sim::LaunchState work_state;
+
+  // Simulates one pending injection from `fork`, the launch state of the
+  // golden device as it stands: copies both into the work device, strikes,
+  // runs the tail, checks, and retries from the pre-launch checkpoint.
+  auto simulate = [&](const Pending& p,
+                      const sim::LaunchState& fork) -> Result<InjectionRecord> {
+    work.memory() = golden.memory();
+    work_state = fork;
+    Rng rng = p.rng;
+    InjectionRecord record;
+    record.site = p.site;
+
+    // Memory mode samples its struck word once, before any attempt, so a
+    // stuck-at retry re-applies the identical upset (and so the rng
+    // sequence matches pre-recovery campaigns bit-exactly).
+    std::optional<MemoryFault> mem_fault;
     if (memory_mode) {
-      if (armed && mem_fault) {
-        device.memory().inject_fault(mem_fault->addr, mem_fault->mask);
-      }
-    } else if (armed) {
-      options.hooks.push_back(&injector);
-    }
-    auto launch = device.launch(workload->program(), spec.value().grid,
-                                spec.value().block, spec.value().params,
-                                options);
-    if (!launch.is_ok()) return launch.status();
-    if (metrics) {
-      const sim::LaunchResult& ran = launch.value();
-      if (ran.downgraded) tier_downgrades->inc();
-      instrumented_winstrs->inc(ran.instrumented_warp_instrs);
-      fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs);
-    }
-    if (attempt == 0) {
-      if (memory_mode) {
-        record.effect.activated = mem_fault.has_value();
-      } else {
-        record.effect = injector.effect();
-      }
-      first_launch_sbe = launch.value().ecc.corrected_sbe;
+      mem_fault = sample_memory_fault(work.memory(), p.site, rng);
     }
 
-    recover::Attempt result;
-    result.dyn_instrs = launch.value().dyn_warp_instrs;
-    final_check.reset();
-    if (launch.value().trap.fired()) {
-      result.trap = launch.value().trap;
+    bool not_activated = false;
+    u64 first_launch_sbe = 0;
+    std::optional<wl::Workload::Checked> final_check;
+
+    // One attempt = arm fault (if due) + launch + result check. The retry
+    // executor restores the pre-launch checkpoint between calls, and a
+    // retry launches from launch start, so every retry sees bit-identical
+    // initial device state.
+    auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
+      const bool armed = attempt == 0 || stuck_at;
+      if (attempt > 0) work_state = sim::LaunchState{};
+      const u64 inherited = work_state.dyn_warp;
+      InjectorHook injector(p.site, work.config());
+      sim::LaunchOptions options;
+      options.watchdog_instrs = watchdog;
+      options.engine = config.engine;
+      if (memory_mode) {
+        if (armed && mem_fault) {
+          work.memory().inject_fault(mem_fault->addr, mem_fault->mask);
+        }
+      } else if (armed) {
+        options.hooks.push_back(&injector);
+      }
+      auto launch = work.run(work_state, program, spec.grid, spec.block,
+                             spec.params, options);
+      if (!launch.is_ok()) return launch.status();
+      if (metrics) {
+        const sim::LaunchResult& ran = launch.value();
+        if (ran.downgraded) tier_downgrades->inc();
+        instrumented_winstrs->inc(ran.instrumented_warp_instrs);
+        inherited_winstrs->inc(inherited);
+        fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs -
+                          inherited);
+      }
+      if (attempt == 0) {
+        if (memory_mode) {
+          record.effect.activated = mem_fault.has_value();
+        } else {
+          record.effect = injector.effect();
+        }
+        first_launch_sbe = launch.value().ecc.corrected_sbe;
+      }
+
+      recover::Attempt result;
+      result.dyn_instrs = launch.value().dyn_warp_instrs;
+      final_check.reset();
+      if (launch.value().trap.fired()) {
+        result.trap = launch.value().trap;
+        return result;
+      }
+      if (attempt == 0 && !memory_mode && !record.effect.activated) {
+        not_activated = true;  // site predicated off; output is golden
+        return result;
+      }
+      auto checked = workload->check(work);
+      if (!checked.is_ok()) return checked.status();
+      final_check = checked.value();
+      if (checked.value().trap != sim::TrapKind::kNone) {
+        // DBE consumed during result copy-back: detected at the API
+        // boundary.
+        result.trap.kind = checked.value().trap;
+      }
       return result;
+    };
+
+    auto executed = recover::run_with_retry(
+        work, checkpoint, recover::RetryPolicy{config.max_retries},
+        attempt_fn);
+    if (!executed.is_ok()) return executed.status();
+    const recover::RetryResult& retry = executed.value();
+    record.attempts = retry.attempts;
+    record.dyn_instrs = retry.total_dyn_instrs;
+
+    if (retry.gave_up()) {
+      record.trap = retry.last_trap.kind;
+      record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
+      // With recovery off the historical labels (DUE / Hang) stand
+      // unchanged.
+      record.outcome = config.max_retries == 0 ? record.pre_recovery
+                                               : Outcome::kUnrecoverableDue;
+      return record;
     }
-    if (attempt == 0 && !memory_mode && !record.effect.activated) {
-      not_activated = true;  // site predicated off; output is golden
-      return result;
+
+    if (not_activated) {
+      record.outcome = record.pre_recovery = Outcome::kNotActivated;
+      return record;
     }
-    auto checked = workload->check(device);
-    if (!checked.is_ok()) return checked.status();
-    final_check = checked.value();
-    if (checked.value().trap != sim::TrapKind::kNone) {
-      // DBE consumed during result copy-back: detected at the API boundary.
-      result.trap.kind = checked.value().trap;
+
+    // Final attempt completed and was checked.
+    const wl::CheckResult& result = final_check->result;
+    record.error_magnitude = result.max_rel_err;
+    if (retry.recovered()) {
+      // The run would have been lost without recovery; record what was
+      // detected and whether the relaunch actually produced a good answer.
+      record.trap = retry.first_trap.kind;
+      record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
+      record.outcome =
+          result.passed() ? Outcome::kRecoveredRetry : Outcome::kSdc;
+      return record;
     }
-    return result;
+    if (record.effect.corrected_by_ecc) {
+      record.outcome = Outcome::kDetectedCorrected;
+    } else if (result.bitwise_equal) {
+      // For memory mode, credit ECC when the launch observed corrections.
+      record.outcome = (memory_mode && first_launch_sbe > 0)
+                           ? Outcome::kDetectedCorrected
+                           : Outcome::kMasked;
+    } else if (result.within_tolerance) {
+      record.outcome = Outcome::kMaskedTolerated;
+    } else {
+      record.outcome = Outcome::kSdc;
+    }
+    record.pre_recovery = record.outcome;
+    return record;
   };
 
-  auto executed = recover::run_with_retry(
-      device, recover::RetryPolicy{config.max_retries}, attempt_fn);
-  if (!executed.is_ok()) return executed.status();
-  const recover::RetryResult& retry = executed.value();
-  record.attempts = retry.attempts;
-  record.dyn_instrs = retry.total_dyn_instrs;
+  // Queue each strike on the sweep by its trigger; the rest fork at launch
+  // start, from the untouched golden device, before the sweep moves it.
+  using Queue = std::vector<std::pair<u64, std::size_t>>;  // (occurrence, p)
+  std::array<Queue, sim::PauseQueues::kDynQueue + 1> queues;
+  const bool sweep =
+      !memory_mode && config.engine != sim::EngineTier::kInstrumented;
+  const sim::LaunchState launch_start;
+  std::size_t queued = 0;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    std::optional<sim::StrikeTrigger> trigger =
+        InjectorHook(pending[i].site, config.machine).trigger();
+    std::optional<std::size_t> q =
+        sweep && trigger ? pause_queue(*trigger) : std::nullopt;
+    if (q) {
+      queues[*q].emplace_back(trigger->occurrence, i);
+      ++queued;
+    } else {
+      out[pending[i].k].record = simulate(pending[i], launch_start);
+    }
+  }
+  if (queued == 0) return out;
 
-  if (retry.gave_up()) {
-    record.trap = retry.last_trap.kind;
-    record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
-    // With recovery off the historical labels (DUE / Hang) stand unchanged.
-    record.outcome = config.max_retries == 0 ? record.pre_recovery
-                                             : Outcome::kUnrecoverableDue;
-    return record;
+  sim::PauseQueues pause;
+  std::array<std::size_t, sim::PauseQueues::kDynQueue + 1> next{};
+  for (std::size_t q = 0; q < queues.size(); ++q) {
+    std::sort(queues[q].begin(), queues[q].end());
+    if (!queues[q].empty()) pause.head[q] = queues[q].front().first;
   }
+  sim::LaunchState state;
+  sim::LaunchOptions sweep_options;
+  sweep_options.watchdog_instrs = watchdog;
+  sweep_options.engine = config.engine;
+  sweep_options.pause = &pause;
+  while (queued > 0) {
+    auto ran = golden.run(state, program, spec.grid, spec.block, spec.params,
+                          sweep_options);
+    if (ran.is_ok() && !ran.value().paused) {
+      ran = Status::internal("golden sweep of '" + config.workload +
+                             "' ended before its last strike");
+    }
+    if (!ran.is_ok()) {
+      for (std::size_t q = 0; q < queues.size(); ++q) {
+        for (std::size_t at = next[q]; at < queues[q].size(); ++at) {
+          out[pending[queues[q][at].second].k].record = ran.status();
+        }
+      }
+      break;
+    }
+    // Tails run in sweep order; the caller commits records in slot order.
+    if (pause.due == 0) {
+      // The watchdog is within reach: every strike left forks here, and
+      // its tail meets the watchdog where a launch from the start would.
+      for (std::size_t q = 0; q < queues.size(); ++q) {
+        for (; next[q] < queues[q].size(); ++next[q]) {
+          const Pending& p = pending[queues[q][next[q]].second];
+          out[p.k].record = simulate(p, state);
+        }
+      }
+      break;
+    }
+    for (std::size_t q = 0; q < queues.size(); ++q) {
+      if (((pause.due >> q) & 1u) == 0) continue;
+      const Pending& p = pending[queues[q][next[q]].second];
+      out[p.k].record = simulate(p, state);
+      --queued;
+      ++next[q];
+      pause.head[q] = next[q] < queues[q].size() ? queues[q][next[q]].first
+                                                 : sim::PauseQueues::kEmpty;
+    }
+  }
+  if (sweep_winstrs) sweep_winstrs->inc(state.dyn_warp);
+  return out;
+}
 
-  if (not_activated) {
-    record.outcome = record.pre_recovery = Outcome::kNotActivated;
-    return record;
-  }
+}  // namespace
 
-  // Final attempt completed and was checked.
-  const wl::CheckResult& result = final_check->result;
-  record.error_magnitude = result.max_rel_err;
-  if (retry.recovered()) {
-    // The run would have been lost without recovery; record what was
-    // detected and whether the relaunch actually produced a good answer.
-    record.trap = retry.first_trap.kind;
-    record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
-    record.outcome =
-        result.passed() ? Outcome::kRecoveredRetry : Outcome::kSdc;
-    return record;
-  }
-  if (record.effect.corrected_by_ecc) {
-    record.outcome = Outcome::kDetectedCorrected;
-  } else if (result.bitwise_equal) {
-    // For memory mode, credit ECC when the launch observed corrections.
-    record.outcome = (memory_mode && first_launch_sbe > 0)
-                         ? Outcome::kDetectedCorrected
-                         : Outcome::kMasked;
-  } else if (result.within_tolerance) {
-    record.outcome = Outcome::kMaskedTolerated;
-  } else {
-    record.outcome = Outcome::kSdc;
-  }
-  record.pre_recovery = record.outcome;
-  return record;
+Result<InjectionRecord> Campaign::run_single(
+    const CampaignConfig& config, const sim::Profile& profile,
+    u64 golden_dyn_instrs, std::size_t run_index,
+    const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
+    std::optional<sim::InstrGroup> stratum) {
+  const ChunkSlot slot{run_index, stratum};
+  std::vector<SlotResult> ran =
+      run_chunk(config, profile, golden_dyn_instrs, {&slot, 1}, prune_map,
+                metrics);
+  if (ran[0].pruned && pruned_out) *pruned_out = true;
+  return std::move(ran[0].record);
 }
 
 Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
@@ -691,32 +881,75 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   std::vector<u8> pruned_flags(result.run_indices.size(), 0);
   ThreadPool pool(config.threads);
 
-  // One injection slot: sample, simulate (or credit), journal, measure.
-  // `stratum` pins the instruction group under a stratified allocation.
-  auto run_slot = [&](std::size_t slot,
-                      std::optional<sim::InstrGroup> stratum) {
-    if (done[slot]) return;
-    // Generic chaos site: "worker dies at the n-th injection it attempts"
-    // (or at a specific global index via key=). The kill is executed inside
-    // fp::hit, mid-shard, after some records are already journaled — which
-    // is exactly the crash shape the supervisor must recover from.
-    if (fp::enabled()) fp::hit("campaign.injection", result.run_indices[slot]);
-    attempted.inc();
-    bool pruned = false;
+  // Chunks: contiguous runs of at most kChunkSlots pending slots, each
+  // simulated from one golden sweep (run_chunk) and fanned out over the
+  // pool as one work item. The supervisor blames a crashed worker's lowest
+  // unjournaled index, which a chunk only narrows to its first slot; so a
+  // journaled single-threaded campaign (every `gpufi run` worker) runs its
+  // first kChunkSlots pending slots as chunks of one. A crash there names
+  // its injection, and the relaunch after a crash in a later chunk runs
+  // that chunk slot by slot: a wrong candidate never crashes twice.
+  std::size_t singles =
+      config.journal_path && pool.size() == 1 ? kChunkSlots : 0;
+  auto make_chunks = [&](const std::vector<std::size_t>& slots) {
+    std::vector<std::vector<std::size_t>> chunks;
+    bool open = false;
+    for (const std::size_t slot : slots) {
+      if (done[slot]) continue;
+      if (singles > 0) {
+        --singles;
+        chunks.push_back({slot});
+        continue;
+      }
+      if (!open || chunks.back().size() == kChunkSlots) {
+        chunks.emplace_back();
+        open = true;
+      }
+      chunks.back().push_back(slot);
+    }
+    return chunks;
+  };
+
+  // One chunk: simulate (or credit) its slots, then commit them in slot
+  // order — journal, measure. `alloc` pins each slot's instruction group
+  // under a stratified allocation of the block starting at `b0`.
+  auto run_slots = [&](const std::vector<std::size_t>& chunk,
+                       const std::optional<PlanEvent>& alloc, u64 b0) {
+    std::vector<ChunkSlot> slots;
+    for (const std::size_t slot : chunk) {
+      const u64 index = result.run_indices[slot];
+      slots.push_back(
+          {index, alloc ? Planner::group_for(*alloc, index - b0)
+                        : std::nullopt});
+    }
+    attempted.inc(chunk.size());
     const auto started = std::chrono::steady_clock::now();
-    auto record = run_single(config, result.profile,
-                             result.golden_dyn_instrs,
-                             result.run_indices[slot],
-                             prune_map ? &*prune_map : nullptr, &pruned,
-                             &reg, stratum);
-    latency.observe(
+    std::vector<SlotResult> ran =
+        run_chunk(config, result.profile, result.golden_dyn_instrs, slots,
+                  prune_map ? &*prune_map : nullptr, &reg);
+    // Slots of a chunk share its sweep: each is charged an equal share.
+    const f64 slot_ms =
         std::chrono::duration_cast<std::chrono::duration<f64, std::milli>>(
             std::chrono::steady_clock::now() - started)
-            .count());
-    pruned_flags[slot] = pruned ? 1 : 0;
-    if (pruned) pruned_counter.inc();
-    if (record.is_ok()) {
-      result.records[slot] = std::move(record).take();
+            .count() /
+        static_cast<f64>(chunk.size());
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      const std::size_t slot = chunk[k];
+      // Generic chaos site: "worker dies at the n-th record it commits" (or
+      // at a specific global index via key=). The kill is executed inside
+      // fp::hit, mid-shard, after n-1 records are already journaled —
+      // which is exactly the crash shape the supervisor must recover from.
+      if (fp::enabled()) {
+        fp::hit("campaign.injection", result.run_indices[slot]);
+      }
+      latency.observe(slot_ms);
+      pruned_flags[slot] = ran[k].pruned ? 1 : 0;
+      if (ran[k].pruned) pruned_counter.inc();
+      if (!ran[k].record.is_ok()) {
+        errors[slot] = ran[k].record.status();
+        continue;
+      }
+      result.records[slot] = std::move(ran[k].record).take();
       if (writer) {
         errors[slot] =
             writer->append(result.run_indices[slot], result.records[slot]);
@@ -730,16 +963,17 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       if (heartbeat) {
         heartbeat->record(static_cast<int>(final_record.outcome));
       }
-    } else {
-      errors[slot] = record.status();
     }
   };
 
   if (!config.planner.active()) {
-    // Classic fixed budget: one flat fan-out over the whole slice. This
-    // path is byte-identical to pre-planner builds.
-    pool.parallel_for(result.run_indices.size(), [&](std::size_t slot) {
-      run_slot(slot, std::nullopt);
+    // Classic fixed budget: one flat fan-out of chunks over the whole
+    // slice. This path is byte-identical to pre-planner builds.
+    std::vector<std::size_t> all(result.run_indices.size());
+    for (std::size_t slot = 0; slot < all.size(); ++slot) all[slot] = slot;
+    const auto chunks = make_chunks(all);
+    pool.parallel_for(chunks.size(), [&](std::size_t c) {
+      run_slots(chunks[c], std::nullopt, 0);
     });
     result.effective_injections = config.num_injections;
   } else {
@@ -864,12 +1098,9 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       }
       if (alloc) allocs_used.push_back(*alloc);
 
-      pool.parallel_for(block_slots.size(), [&](std::size_t b) {
-        const std::size_t slot = block_slots[b];
-        run_slot(slot,
-                 alloc ? Planner::group_for(*alloc,
-                                            result.run_indices[slot] - b0)
-                       : std::nullopt);
+      const auto chunks = make_chunks(block_slots);
+      pool.parallel_for(chunks.size(), [&](std::size_t c) {
+        run_slots(chunks[c], alloc, b0);
       });
       for (const std::size_t slot : block_slots) {
         if (!errors[slot].is_ok()) return errors[slot];

@@ -1,14 +1,21 @@
 // Two-phase fault-injection campaign (NVBitFI style):
 //   Phase 1 — golden run with the profiler: dynamic instruction counts per
 //             group, golden output, watchdog budget.
-//   Phase 2 — N independent injection runs, each on a fresh simulated
-//             device, fanned out over a host thread pool; every run strikes
-//             exactly one fault at a uniformly sampled eligible site and is
-//             classified against the golden outcome.
+//   Phase 2 — N independent injection runs in chunks of contiguous slots
+//             fanned out over a host thread pool; every run strikes exactly
+//             one fault at a uniformly sampled eligible site and is
+//             classified against the golden outcome. A chunk sets its
+//             workload up once: one fault-free golden launch sweeps forward
+//             and pauses before each strike, and the injection runs its
+//             strike and tail on a copy of the launch state and memory at
+//             that pause (memory mode, the instrumented pin and retries
+//             start from a copy of the pre-launch device instead), so no
+//             corrupted state leaks between runs.
 //
 // Injection i depends only on (config.seed, i), which makes runs resumable
 // (fi/journal.h), shardable (CampaignConfig::shard_*), and replayable
-// (run_single). Phase 1 results are memoized in fi/golden_cache.h.
+// (run_single, the chunk of one): forking changes no record. Phase 1
+// results are memoized in fi/golden_cache.h.
 #pragma once
 
 #include <algorithm>
@@ -277,8 +284,9 @@ class Campaign {
   static Result<CampaignResult> run(const CampaignConfig& config);
 
   /// Replays a single injection (used by tests and for debugging): returns
-  /// the record produced for global run index `i` of `config`. Sharding
-  /// never changes what a given index produces. When `prune_map` is given
+  /// the record produced for global run index `i` of `config`, running it
+  /// as a chunk of one (a golden sweep to its strike, then the fork).
+  /// Sharding and chunking never change what a given index produces. When `prune_map` is given
   /// and the sampled site is prunable, the record is filled analytically
   /// without simulating (and `*pruned_out` is set when provided) — the
   /// record is field-identical to what the simulation would produce.

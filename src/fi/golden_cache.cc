@@ -12,17 +12,6 @@
 namespace gfi::fi {
 namespace {
 
-/// FNV-1a over the key string; names the cache file. Collisions are safe:
-/// the stored key is compared before use.
-u64 fnv1a(const std::string& s) {
-  u64 hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::string hex(u64 value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -90,10 +79,12 @@ Result<Campaign::Golden> GoldenCache::get_or_run(
     directory = directory_;
   }
 
+  // Named by the key's hash. Collisions are safe: the stored key is
+  // compared before use.
   const std::string file_path =
       directory.empty()
           ? std::string()
-          : directory + "/golden-" + hex(fnv1a(key)) + ".json";
+          : directory + "/golden-" + hex(jsonl::fnv1a(key)) + ".json";
   if (!file_path.empty()) {
     std::ifstream file(file_path);
     if (file) {

@@ -536,7 +536,7 @@ Result<MergedCampaign> merge_journals(const std::vector<std::string>& paths,
           h.fixed_bit != m.fixed_bit || h.seed != m.seed ||
           h.num_injections != m.num_injections ||
           h.golden_dyn_instrs != m.golden_dyn_instrs ||
-          h.planner != m.planner) {
+          h.golden_cycles != m.golden_cycles || h.planner != m.planner) {
         return Status::failed_precondition(
             "journal " + paths[p] +
             " belongs to a different campaign than " + paths[0]);
@@ -749,6 +749,9 @@ std::string golden_line(const std::string& key,
   append_array(out, "profile_op", golden.profile.warp_instrs_by_opcode);
   append_array(out, "profile_warp", golden.profile.warp_instrs_by_group);
   append_array(out, "profile_thread", golden.profile.thread_instrs_by_group);
+  // Last field: a checksum of the entry without it, so a damaged digit in
+  // a field nothing else restates (cycles, the key) is refused, not served.
+  append_u64(out, "sum", jsonl::fnv1a(out + "}"));
   out += '}';
   return out;
 }
@@ -761,6 +764,12 @@ Result<std::pair<std::string, Campaign::Golden>> parse_golden_line(
   }
   if (get_str(fields, "golden").value_or("") != kMagic) {
     return Status::invalid_argument("golden cache entry: wrong magic");
+  }
+  const std::size_t sum_at = line.rfind(",\"sum\":");
+  const std::optional<u64> checksum = get_u64(fields, "sum");
+  if (sum_at == std::string::npos || !checksum ||
+      *checksum != jsonl::fnv1a(line.substr(0, sum_at) + "}")) {
+    return Status::invalid_argument("golden cache entry: checksum mismatch");
   }
   auto key = get_str(fields, "key");
   auto dyn = get_u64(fields, "dyn");

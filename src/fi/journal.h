@@ -206,7 +206,9 @@ Status write_merged_journal(const std::string& path,
 
 /// Serialization of one golden run, used by the on-disk golden cache. `key`
 /// is the full cache key; it is stored verbatim so a filename-hash collision
-/// degrades to a recompute, never to a wrong reference.
+/// degrades to a recompute, never to a wrong reference. The last field,
+/// `sum`, is FNV-1a over the entry without it: parse_golden_line refuses an
+/// entry whose checksum or restated profile counts do not hold.
 std::string golden_line(const std::string& key, const Campaign::Golden& golden);
 Result<std::pair<std::string, Campaign::Golden>> parse_golden_line(
     const std::string& line);

@@ -2,12 +2,15 @@
 // kernel dies with an ECC DBE / illegal-address Xid or is killed by the
 // watchdog — tear the context down, restore application state, relaunch.
 //
-// The executor checkpoints the device before the first attempt
-// (Device::snapshot()), runs the caller's attempt callback, and while the
-// attempt reports a trap, restores the checkpoint and reruns it, up to
-// `max_retries` extra attempts. Whether the retry sees the same fault again
-// is the caller's business (FaultPersistence): the executor only guarantees
-// that every attempt starts from bit-identical device state.
+// The caller hands the executor its pre-launch checkpoint
+// (Device::snapshot() taken before the first attempt's launch began); the
+// executor runs the caller's attempt callback, and while the attempt
+// reports a trap, restores the checkpoint and reruns it, up to
+// `max_retries` extra attempts. The device itself may be mid-launch when
+// the first attempt starts (a campaign's work device forked from a golden
+// sweep), which is why the executor never snapshots it. Whether the retry
+// sees the same fault again is the caller's business (FaultPersistence):
+// the executor only guarantees that every retry starts from the checkpoint.
 #pragma once
 
 #include <functional>
@@ -20,8 +23,8 @@
 namespace gfi::recover {
 
 struct RetryPolicy {
-  /// Extra attempts after the first; 0 disables recovery entirely (no
-  /// snapshot is taken and the first attempt's result stands).
+  /// Extra attempts after the first; 0 disables recovery entirely (the
+  /// checkpoint is never restored and the first attempt's result stands).
   u32 max_retries = 0;
 };
 
@@ -47,12 +50,13 @@ struct RetryResult {
   [[nodiscard]] bool gave_up() const { return last_trap.fired(); }
 };
 
-/// Runs `attempt(0)`, then restore+retry while the attempt traps and budget
-/// remains. The callback receives the attempt index (0 = original run) so a
-/// caller modeling a stuck-at fault can re-arm it on every attempt.
+/// Runs `attempt(0)`, then restores `checkpoint` into `device` and retries
+/// while the attempt traps and budget remains. The callback receives the
+/// attempt index (0 = original run) so a caller modeling a stuck-at fault
+/// can re-arm it on every attempt, and must launch a retry from launch start.
 using AttemptFn = std::function<Result<Attempt>(u32 attempt)>;
-Result<RetryResult> run_with_retry(sim::Device& device,
-                                   const RetryPolicy& policy,
-                                   const AttemptFn& attempt);
+Result<RetryResult> run_with_retry(
+    sim::Device& device, const sim::GlobalMemory::Snapshot& checkpoint,
+    const RetryPolicy& policy, const AttemptFn& attempt);
 
 }  // namespace gfi::recover

@@ -14,8 +14,10 @@
 
 namespace gfi::sim {
 
-/// One simulated GPU. Cheap to construct; fault-injection campaigns build a
-/// fresh Device per injection run so corrupted state never leaks across runs.
+/// One simulated GPU. Cheap to construct. Fault-injection campaigns set up
+/// one golden Device per chunk of injections and run each injection on a
+/// work Device whose memory is assigned from it, so corrupted state never
+/// leaks across runs.
 class Device {
  public:
   explicit Device(MachineConfig config)
@@ -67,6 +69,16 @@ class Device {
                               const LaunchOptions& options = {}) {
     Simulator simulator(config_, memory_);
     return simulator.launch(program, grid, block, params, options);
+  }
+
+  /// Runs a launch state forward on this device (Simulator::run). A state
+  /// paused on one device resumes on another whose memory() was assigned
+  /// from the first's at the pause.
+  Result<LaunchResult> run(LaunchState& state, const Program& program,
+                           Dim3 grid, Dim3 block, std::span<const u64> params,
+                           const LaunchOptions& options = {}) {
+    Simulator simulator(config_, memory_);
+    return simulator.run(state, program, grid, block, params, options);
   }
 
  private:

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <optional>
 
 #include "common/bitutil.h"
@@ -109,36 +108,20 @@ enum class RunExit : u8 {
   kCompleted,   ///< every CTA retired
   kTrapped,     ///< Engine::trap fired
   kDowngraded,  ///< every strike delivered: continue on the clean tier
+  kPaused,      ///< a pause queue's head is within one cycle (sweeps)
 };
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// CTA state
-// ---------------------------------------------------------------------------
-
-struct Simulator::Cta {
-  u32 linear_id = 0;
-  Dim3 ctaid;
-  std::vector<WarpState> warps;
-  std::vector<u8> shared;
-
-  [[nodiscard]] bool finished() const {
-    for (const auto& warp : warps) {
-      if (!warp.done()) return false;
-    }
-    return true;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Launch engine
 // ---------------------------------------------------------------------------
 
-// All mutable launch progress lives here — resident CTA pools, grid cursor,
-// cycle and instruction counters — so a triggered run can stop once its
-// last strike is delivered (RunExit::kDowngraded), and a clean run resumes
-// from the identical architectural state.
+// The engine runs one LaunchState forward; all mutable launch progress
+// lives in that state — resident CTA pools, grid cursor, cycle and
+// instruction counters — so a run can stop at any cycle boundary (a
+// triggered run once its last strike is delivered, a sweep at a pause) and
+// a later run resumes from the identical architectural state.
 struct Simulator::Engine {
   const MachineConfig& cfg;
   GlobalMemory& mem;
@@ -154,14 +137,9 @@ struct Simulator::Engine {
   u32 occupancy = 0;
   u64 watchdog = kDefaultWatchdog;
 
-  std::vector<std::vector<std::unique_ptr<Cta>>> resident;
-  u64 resident_count = 0;
   u64 total_ctas = 0;
-  u64 next_cta = 0;
 
-  u64 dyn_warp = 0;
-  u64 dyn_thread = 0;
-  u64 cycle = 0;
+  LaunchState& st;
   Trap trap;
   /// Any native observer (opts.profile, opts.site_log) attached.
   bool observing = false;
@@ -185,7 +163,8 @@ struct Simulator::Engine {
 
   Engine(const MachineConfig& cfg_in, GlobalMemory& mem_in,
          const Program& prog_in, Dim3 grid_in, Dim3 block_in,
-         std::span<const u64> params_in, const LaunchOptions& opts_in)
+         std::span<const u64> params_in, const LaunchOptions& opts_in,
+         LaunchState& state)
       : cfg(cfg_in),
         mem(mem_in),
         prog(prog_in),
@@ -194,12 +173,24 @@ struct Simulator::Engine {
         block(block_in),
         params(params_in),
         opts(opts_in),
+        st(state),
         observing(opts_in.profile != nullptr || opts_in.site_log != nullptr),
         hooks(opts_in.hooks) {}
 
-  /// Arms one countdown per hook from its trigger(). False (nothing armed)
-  /// unless every attached hook declares a trigger.
-  bool arm_triggers() {
+  /// Instructions of the groups in `mask` the state has issued.
+  [[nodiscard]] u64 issued_in(u32 mask) const {
+    u64 n = 0;
+    for (int g = 0; g < kInstrGroupCount; ++g) {
+      if ((mask >> g) & 1u) n += st.issued[g];
+    }
+    return n;
+  }
+
+  /// Arms one countdown per hook from its trigger(), less the matching
+  /// instructions the state already issued. False (nothing armed) unless
+  /// every attached hook declares a trigger; an error when a trigger's
+  /// occurrence is already behind the state.
+  Result<bool> arm_triggers() {
     for (InstrumentHook* hook : opts.hooks) {
       const std::optional<StrikeTrigger> t = hook->trigger();
       if (!t) {
@@ -208,37 +199,60 @@ struct Simulator::Engine {
         return false;
       }
       const u32 mask = t->group_mask & StrikeTrigger::kAllGroups;
-      countdowns.push_back({hook, mask, t->occurrence});
+      const u64 passed = issued_in(mask);
+      if (t->occurrence < passed) {
+        return Status::invalid_argument(
+            "strike trigger at occurrence " + std::to_string(t->occurrence) +
+            " is behind the resumed state (" + std::to_string(passed) +
+            " matching instructions issued)");
+      }
+      countdowns.push_back({hook, mask, t->occurrence - passed});
       armed_groups |= mask;
     }
     return true;
   }
 
+  /// Sweeps only: true (and opts.pause->due filled) when some pause queue's
+  /// head, or the watchdog, could issue within the next cycle, at most
+  /// `slots` instructions.
+  bool pause_due(u64 slots) const {
+    PauseQueues& q = *opts.pause;
+    q.due = 0;
+    for (std::size_t g = 0; g <= PauseQueues::kDynQueue; ++g) {
+      const u64 issued =
+          g == PauseQueues::kDynQueue ? st.dyn_warp : st.issued[g];
+      if (q.head[g] != PauseQueues::kEmpty && q.head[g] < issued + slots) {
+        q.due |= 1u << g;
+      }
+    }
+    return q.due != 0 || watchdog <= st.dyn_warp + slots;
+  }
+
   // ---- CTA lifecycle ------------------------------------------------------
 
-  std::unique_ptr<Cta> make_cta(u64 linear) const {
-    auto cta = std::make_unique<Cta>();
-    cta->linear_id = static_cast<u32>(linear);
-    cta->ctaid =
+  CtaState make_cta(u64 linear) const {
+    CtaState cta;
+    cta.linear_id = static_cast<u32>(linear);
+    cta.ctaid =
         Dim3(static_cast<u32>(linear % grid.x),
              static_cast<u32>((linear / grid.x) % grid.y),
              static_cast<u32>(linear / (static_cast<u64>(grid.x) * grid.y)));
-    cta->shared.assign(prog.shared_bytes(), 0);
-    cta->warps.reserve(warps_per_cta);
+    cta.shared.assign(prog.shared_bytes(), 0);
+    cta.warps.reserve(warps_per_cta);
     u32 remaining = threads_per_cta;
     for (u32 w = 0; w < warps_per_cta; ++w) {
       const u32 lanes = std::min(remaining, kWarpSize);
       const u32 mask = lanes == kWarpSize ? kFullMask : ((1u << lanes) - 1u);
-      cta->warps.emplace_back(w, prog.num_regs(), mask);
+      cta.warps.emplace_back(w, prog.num_regs(), mask);
       remaining -= lanes;
     }
     return cta;
   }
 
   void admit(u32 sm) {
-    while (resident[sm].size() < occupancy && next_cta < total_ctas) {
-      resident[sm].push_back(make_cta(next_cta++));
-      ++resident_count;
+    while (st.resident[sm].size() < occupancy && st.next_cta < total_ctas) {
+      st.resident[sm].push_back(make_cta(st.next_cta++));
+      ++st.resident_count;
     }
   }
 
@@ -277,7 +291,7 @@ struct Simulator::Engine {
 
   // ---- special registers --------------------------------------------------
 
-  u32 special_value(const Cta& cta, const WarpState& warp, u32 lane,
+  u32 special_value(const CtaState& cta, const WarpState& warp, u32 lane,
                     SpecialReg sr) const {
     const u32 lin = warp.warp_in_cta() * kWarpSize + lane;
     switch (sr) {
@@ -301,7 +315,7 @@ struct Simulator::Engine {
 
   // ---- trap helper --------------------------------------------------------
 
-  TrapKind fire(TrapKind kind, const Cta& cta, const WarpState& warp,
+  TrapKind fire(TrapKind kind, const CtaState& cta, const WarpState& warp,
                 u64 address = 0) {
     trap.kind = kind;
     trap.address = address;
@@ -313,12 +327,10 @@ struct Simulator::Engine {
 
   // ---- native observers ---------------------------------------------------
 
-  /// Per-group issue counters behind SiteLog::Event::occurrence.
-  std::array<u64, kInstrGroupCount> site_occurrences{};
-
   /// Records the dynamic warp instruction about to issue at `pc` into
   /// opts.profile and opts.site_log. `exec` is its first guard mask, the
-  /// one the instrumented tier hands hooks in on_before_instr.
+  /// one the instrumented tier hands hooks in on_before_instr. Runs before
+  /// the issue counters advance.
   void observe(u32 pc, const DecodedInstr& instr, u32 exec) {
     const auto group = static_cast<int>(instr.group);
     const u64 lanes = static_cast<u64>(std::popcount(exec));
@@ -330,11 +342,11 @@ struct Simulator::Engine {
       p->total_thread_instrs += lanes;
     }
     if (SiteLog* log = opts.site_log) {
-      const u64 occurrence = site_occurrences[group]++;
       const u8 watch = log->watch[pc];
       if (watch == SiteLog::kAlways ||
           (watch == SiteLog::kIfNoLane && exec == 0)) {
-        log->events.push_back({instr.group, occurrence, dyn_warp, pc, exec});
+        log->events.push_back(
+            {instr.group, st.issued[group], st.dyn_warp, pc, exec});
       }
     }
   }
@@ -342,20 +354,22 @@ struct Simulator::Engine {
   // ---- one dynamic warp instruction ---------------------------------------
 
   template <typename Policy>
-  TrapKind exec_instr(Cta& cta, WarpState& warp, const DecodedInstr& instr) {
+  TrapKind exec_instr(CtaState& cta, WarpState& warp,
+                      const DecodedInstr& instr) {
     if constexpr (Policy::kInstrumented) {
       InstrContext ctx;
       ctx.instr = &prog.at(warp.pc);
       ctx.group = instr.group;
-      ctx.dyn_index = dyn_warp;
+      ctx.dyn_index = st.dyn_warp;
       ctx.cta = cta.linear_id;
       ctx.warp = warp.warp_in_cta();
       ctx.warp_state = &warp;
 
       ctx.exec_mask = warp.guard_mask(instr.guard_pred, instr.guard_negated);
       if (observing) observe(warp.pc, instr, ctx.exec_mask);
-      ++dyn_warp;
-      dyn_thread += static_cast<u64>(std::popcount(ctx.exec_mask));
+      ++st.dyn_warp;
+      ++st.issued[static_cast<int>(instr.group)];
+      st.dyn_thread += static_cast<u64>(std::popcount(ctx.exec_mask));
 
       for (InstrumentHook* hook : hooks) {
         hook->on_before_instr(ctx);
@@ -387,8 +401,9 @@ struct Simulator::Engine {
               ? warp.guard_mask_fast(instr.guard_pred, instr.guard_negated)
               : warp.active();
       if (observing) observe(warp.pc, instr, exec);
-      ++dyn_warp;
-      dyn_thread += static_cast<u64>(std::popcount(exec));
+      ++st.dyn_warp;
+      ++st.issued[static_cast<int>(instr.group)];
+      st.dyn_thread += static_cast<u64>(std::popcount(exec));
       return dispatch<Policy>(cta, warp, instr, exec, nullptr);
     }
   }
@@ -397,7 +412,7 @@ struct Simulator::Engine {
   /// armed countdown whose mask holds its group; the instruction that
   /// exhausts one runs instrumented with just the hooks it strikes attached,
   /// every other instruction runs clean.
-  TrapKind exec_triggered(Cta& cta, WarpState& warp,
+  TrapKind exec_triggered(CtaState& cta, WarpState& warp,
                           const DecodedInstr& instr) {
     const u32 bit = 1u << static_cast<u32>(instr.group);
     if ((armed_groups & bit) == 0) {
@@ -426,7 +441,7 @@ struct Simulator::Engine {
   // Executes `instr` for lanes in `exec`; manages the PC. `ctx` is non-null
   // only on the instrumented path (store-address transforms).
   template <typename Policy>
-  TrapKind dispatch(Cta& cta, WarpState& warp, const DecodedInstr& instr,
+  TrapKind dispatch(CtaState& cta, WarpState& warp, const DecodedInstr& instr,
                     u32 exec, [[maybe_unused]] InstrContext* ctx) {
     // Full-warp vector fast path: pure register/immediate ALU ops with all
     // 32 lanes executing skip the per-lane operand machinery entirely and
@@ -1098,7 +1113,8 @@ struct Simulator::Engine {
   // ---- the scheduler loop -------------------------------------------------
 
   // Runs the launch state forward under one instrumentation policy until it
-  // completes, traps, or (triggered only) every strike has been delivered.
+  // completes, traps, (triggered only) every strike has been delivered, or
+  // (sweeps only) a pause queue's head is within one cycle.
   template <typename Policy>
   RunExit run() {
     // Per-opcode issue latencies with the memory/shared overrides baked in,
@@ -1128,18 +1144,25 @@ struct Simulator::Engine {
     // fast-forward, and an SM whose pool drains can never wake again —
     // admit() backfills only from the SM's own retirement scan, so once
     // `resident[sm]` is empty (grid exhausted) it stays empty. Holds on
-    // re-entry after a triggered run for the same reason.
+    // re-entry at any cycle boundary (after a triggered run or a pause, or
+    // from a copied state) for the same reason: `busy` is rebuilt from the
+    // pools and every sm_next is reset, which only forces a rescan.
     std::vector<u32> busy;
     busy.reserve(cfg.num_sms);
     for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
-      if (!resident[sm].empty()) busy.push_back(sm);
+      if (!st.resident[sm].empty()) busy.push_back(sm);
     }
 
-    while (resident_count > 0) {
+    while (st.resident_count > 0) {
       if constexpr (Policy::kTriggered) {
         // Every countdown has struck: the hooks are inert (the trigger
         // contract), so the rest of the launch runs on the clean tier.
         if (armed_groups == 0) return RunExit::kDowngraded;
+      }
+      // A cycle issues at most issue_width instructions per busy SM.
+      if (opts.pause != nullptr &&
+          pause_due(static_cast<u64>(busy.size()) * cfg.issue_width)) {
+        return RunExit::kPaused;
       }
 
       bool issued_any = false;
@@ -1151,7 +1174,7 @@ struct Simulator::Engine {
         // (barrier releases and CTA admission are triggered by issues
         // within the same SM). Skipping the scan cannot change which warp
         // issues when, so cycle counts stay bit-identical.
-        if (sm_next[sm] > cycle) {
+        if (sm_next[sm] > st.cycle) {
           ++bi;
           continue;
         }
@@ -1163,12 +1186,12 @@ struct Simulator::Engine {
         // turnover below.
         u64 next_ready = std::numeric_limits<u64>::max();
         bool next_valid = true;
-        for (auto& cta : resident[sm]) {
+        for (auto& cta : st.resident[sm]) {
           if (budget == 0) break;
-          for (auto& warp : cta->warps) {
+          for (auto& warp : cta.warps) {
             if (budget == 0) break;
             if (warp.done() || warp.at_barrier) continue;
-            if (warp.ready_cycle > cycle) {
+            if (warp.ready_cycle > st.cycle) {
               next_ready = std::min(next_ready, warp.ready_cycle);
               continue;
             }
@@ -1176,9 +1199,9 @@ struct Simulator::Engine {
             const Opcode op = di.op;
             TrapKind trapped;
             if constexpr (Policy::kTriggered) {
-              trapped = exec_triggered(*cta, warp, di);
+              trapped = exec_triggered(cta, warp, di);
             } else {
-              trapped = exec_instr<Policy>(*cta, warp, di);
+              trapped = exec_instr<Policy>(cta, warp, di);
             }
             issued_any = true;
             --budget;
@@ -1189,21 +1212,21 @@ struct Simulator::Engine {
               // A warp that just retired can release siblings parked at a
               // barrier (they no longer need to wait for it).
               bool all_arrived = true;
-              for (const auto& other : cta->warps) {
+              for (const auto& other : cta.warps) {
                 if (!other.done() && !other.at_barrier) {
                   all_arrived = false;
                   break;
                 }
               }
               if (all_arrived) {
-                for (auto& other : cta->warps) other.at_barrier = false;
+                for (auto& other : cta.warps) other.at_barrier = false;
               }
             }
-            warp.ready_cycle = cycle + latency_of[static_cast<int>(op)];
+            warp.ready_cycle = st.cycle + latency_of[static_cast<int>(op)];
             next_ready = std::min(next_ready, warp.ready_cycle);
-            if (dyn_warp >= watchdog) {
+            if (st.dyn_warp >= watchdog) {
               trap = Trap{TrapKind::kWatchdogTimeout, 0, warp.pc,
-                          cta->linear_id, warp.warp_in_cta()};
+                          cta.linear_id, warp.warp_in_cta()};
               return RunExit::kTrapped;
             }
           }
@@ -1214,11 +1237,11 @@ struct Simulator::Engine {
         // finish on a cycle where one of its warps retired, so the scan is
         // skipped on all other cycles.
         if (warp_retired) {
-          auto& pool = resident[sm];
+          auto& pool = st.resident[sm];
           for (auto it = pool.begin(); it != pool.end();) {
-            if ((*it)->finished()) {
+            if (it->finished()) {
               it = pool.erase(it);
-              --resident_count;
+              --st.resident_count;
             } else {
               ++it;
             }
@@ -1236,7 +1259,7 @@ struct Simulator::Engine {
       }
 
       if (issued_any) {
-        ++cycle;
+        ++st.cycle;
       } else {
         // Fast-forward to the earliest moment any warp becomes ready. Every
         // SM was either scanned this cycle or carries a valid future
@@ -1253,7 +1276,7 @@ struct Simulator::Engine {
           trap.kind = TrapKind::kBarrierDivergence;
           return RunExit::kTrapped;
         }
-        cycle = std::max(earliest, cycle + 1);
+        st.cycle = std::max(earliest, st.cycle + 1);
       }
     }
     return RunExit::kCompleted;
@@ -1267,6 +1290,14 @@ struct Simulator::Engine {
 Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
                                        Dim3 block, std::span<const u64> params,
                                        const LaunchOptions& options) {
+  LaunchState state;
+  return run(state, program, grid, block, params, options);
+}
+
+Result<LaunchResult> Simulator::run(LaunchState& state, const Program& program,
+                                    Dim3 grid, Dim3 block,
+                                    std::span<const u64> params,
+                                    const LaunchOptions& options) {
   if (Status status = program.validate(); !status.is_ok()) return status;
   if (grid.count() == 0 || block.count() == 0) {
     return Status::invalid_argument("empty grid or block");
@@ -1283,6 +1314,15 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   if (options.site_log && options.site_log->watch.size() != program.size()) {
     return Status::invalid_argument("site log watch must hold one byte per pc");
   }
+  if (options.pause && !options.hooks.empty()) {
+    return Status::invalid_argument("a paused sweep must be hook-free");
+  }
+  if (state.started() && state.resident.size() != config_.num_sms) {
+    return Status::invalid_argument(
+        "launch state was started on a machine with " +
+        std::to_string(state.resident.size()) + " SMs, not " +
+        std::to_string(config_.num_sms));
+  }
   const u32 threads_per_cta = static_cast<u32>(block.count());
   const u32 occupancy = config_.ctas_per_sm(threads_per_cta, program.num_regs(),
                                             program.shared_bytes());
@@ -1291,20 +1331,16 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
                                     program.name() + ")");
   }
 
-  Engine engine(config_, memory_, program, grid, block, params, options);
+  Engine engine(config_, memory_, program, grid, block, params, options,
+                state);
   engine.threads_per_cta = threads_per_cta;
   engine.warps_per_cta = (threads_per_cta + kWarpSize - 1) / kWarpSize;
   engine.occupancy = occupancy;
   engine.watchdog =
       options.watchdog_instrs ? options.watchdog_instrs : kDefaultWatchdog;
   engine.total_ctas = grid.count();
-  engine.resident.resize(config_.num_sms);
 
-  LaunchScope scope(options.hooks, program);
-
-  for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
-
-  // Tier selection. Hook-free launches — golden and prune-map runs
+  // Tier selection. Hook-free launches — golden, prune-map and sweep runs
   // included — run the clean tier. Hooked launches whose hooks all declare a
   // strike trigger count down to the strike on the clean tier, run only the
   // struck instruction(s) instrumented and finish clean: the trigger is the
@@ -1312,27 +1348,44 @@ Result<LaunchResult> Simulator::launch(const Program& program, Dim3 grid,
   // explicit kInstrumented pin, run instrumented from start to end. Both
   // tiers are bit-identical in every architecturally observable way.
   const bool pin_instrumented = options.engine == EngineTier::kInstrumented;
+  LaunchScope scope(options.hooks, program);
+
+  if (!state.started()) {
+    state.resident.resize(config_.num_sms);
+    for (u32 sm = 0; sm < config_.num_sms; ++sm) engine.admit(sm);
+  }
+  const u64 dyn_at_entry = state.dyn_warp;
+  bool triggered = false;
+  if (!options.hooks.empty() && !pin_instrumented) {
+    Result<bool> armed = engine.arm_triggers();
+    if (!armed.is_ok()) return armed.status();
+    triggered = armed.value();
+  }
+
+  RunExit exit;
   bool downgraded = false;
   if (options.hooks.empty() && !pin_instrumented) {
-    engine.run<CleanPolicy>();
-  } else if (!pin_instrumented && engine.arm_triggers()) {
-    if (engine.run<TriggeredPolicy>() == RunExit::kDowngraded) {
+    exit = engine.run<CleanPolicy>();
+  } else if (triggered) {
+    exit = engine.run<TriggeredPolicy>();
+    if (exit == RunExit::kDowngraded) {
       downgraded = true;
-      engine.run<CleanPolicy>();
+      exit = engine.run<CleanPolicy>();
     }
   } else {
-    engine.run<InstrumentedPolicy>();
-    engine.instrumented_warp = engine.dyn_warp;
+    exit = engine.run<InstrumentedPolicy>();
+    engine.instrumented_warp = state.dyn_warp - dyn_at_entry;
   }
 
   LaunchResult result;
   result.trap = engine.trap;
-  result.dyn_warp_instrs = engine.dyn_warp;
-  result.dyn_thread_instrs = engine.dyn_thread;
+  result.dyn_warp_instrs = state.dyn_warp;
+  result.dyn_thread_instrs = state.dyn_thread;
   result.instrumented_warp_instrs = engine.instrumented_warp;
-  result.cycles = engine.cycle;
+  result.cycles = state.cycle;
   result.ecc = memory_.counters();
   result.downgraded = downgraded;
+  result.paused = exit == RunExit::kPaused;
   return result;
 }
 

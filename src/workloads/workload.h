@@ -35,8 +35,10 @@ struct CheckResult {
 
 /// One benchmark kernel with deterministic inputs and a golden check.
 ///
-/// Instances are single-use per device: construct, setup(device),
-/// launch via spec(), then check(device). Construction and the CPU
+/// Construct, setup(device) once, launch via the spec, then check(device).
+/// check() may run repeatedly, and on any device whose memory was copied
+/// from the set-up one (a campaign checks each injection on a work device
+/// forked from its chunk's golden device). Construction and the CPU
 /// reference must be deterministic (seeded) so every injection run of a
 /// campaign sees identical inputs.
 class Workload {

@@ -316,6 +316,43 @@ TEST(Journal, MergeRejectsIncompleteOrOverlappingShards) {
       << overlap.status().to_string();
 }
 
+TEST(Journal, MergeRejectsShardsThatDisagreeOnGoldenCycles) {
+  // Two shards of one campaign whose headers differ only in golden_cycles
+  // (as a damaged golden-cache entry once made one shard record) describe
+  // different golden runs: the merge refuses them.
+  const fs::path dir = scratch_dir("merge_golden_cycles");
+  auto config = base_config("vecadd");
+  config.shard_count = 2;
+  std::vector<std::string> journals;
+  for (u32 shard = 0; shard < 2; ++shard) {
+    config.shard_index = shard;
+    config.journal_path =
+        (dir / ("shard" + std::to_string(shard) + ".jsonl")).string();
+    journals.push_back(*config.journal_path);
+    ASSERT_TRUE(Campaign::run(config).is_ok());
+  }
+  ASSERT_TRUE(fi::merge_journals(journals).is_ok());
+
+  std::ifstream in(journals[1], std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  in.close();
+  std::string text = bytes.str();
+  const std::string field = "\"golden_cycles\":";
+  const std::size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t digit = at + field.size();
+  text[digit] = text[digit] == '9' ? '1' : static_cast<char>(text[digit] + 1);
+  std::ofstream(journals[1], std::ios::binary | std::ios::trunc) << text;
+
+  auto merged = fi::merge_journals(journals);
+  ASSERT_FALSE(merged.is_ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(merged.status().message().find("different campaign"),
+            std::string::npos)
+      << merged.status().to_string();
+}
+
 TEST(Journal, MergeRejectsUnfinishedShardUnlessAllowPartial) {
   const fs::path dir = scratch_dir("merge_unfinished");
   auto config = base_config("vecadd");

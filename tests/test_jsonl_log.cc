@@ -505,7 +505,7 @@ TEST(LogReaders, ReadLeaseParsesOrRefusesUnderByteMutations) {
 // ------------------------------------------------- golden-cache entries --
 
 bool same_golden(const fi::Campaign::Golden& a, const fi::Campaign::Golden& b) {
-  return a.dyn_instrs == b.dyn_instrs &&
+  return a.dyn_instrs == b.dyn_instrs && a.cycles == b.cycles &&
          a.profile.warp_instrs_by_opcode == b.profile.warp_instrs_by_opcode &&
          a.profile.warp_instrs_by_group == b.profile.warp_instrs_by_group &&
          a.profile.thread_instrs_by_group == b.profile.thread_instrs_by_group &&
@@ -515,9 +515,9 @@ bool same_golden(const fi::Campaign::Golden& a, const fi::Campaign::Golden& b) {
 
 TEST(LogReaders, GoldenEntryServesTheWrittenProfileOrRefusesUnderMutations) {
   // A golden-cache entry is one line the cache replaces whole. Damaged, it
-  // must parse to the profile and dynamic count that were written (the key
-  // is compared by the cache; cycles carry no redundancy) or be refused,
-  // never serve a wrong profile.
+  // must parse to the profile, dynamic count and cycles that were written
+  // (the key is compared by the cache) or be refused, never serve a wrong
+  // reference.
   fi::CampaignConfig config;
   config.workload = "vecadd";
   config.machine = arch::toy();
@@ -533,15 +533,12 @@ TEST(LogReaders, GoldenEntryServesTheWrittenProfileOrRefusesUnderMutations) {
   };
   ASSERT_TRUE(served(line).has_value());
 
-  // Every digit of the profile arrays and of the counts they must add up
-  // to, replaced by another digit.
-  const std::size_t counts_from = line.find("\"profile_warp_total\"");
+  // Every digit of the cycles, of the profile arrays, of the counts they
+  // must add up to, and of the checksum, replaced by another digit.
   const std::size_t dyn_at = line.find("\"dyn\"");
-  const std::size_t cycles_at = line.find("\"cycles\"");
-  ASSERT_NE(counts_from, std::string::npos);
+  ASSERT_NE(line.find("\"cycles\""), std::string::npos);
   u64 digits = 0;
   for (std::size_t at = dyn_at; at < line.size(); ++at) {
-    if (at >= cycles_at && at < counts_from) continue;
     if (line[at] < '0' || line[at] > '9') continue;
     std::string damaged = line;
     damaged[at] = static_cast<char>('0' + (line[at] - '0' + 3) % 10);

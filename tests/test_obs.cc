@@ -439,9 +439,12 @@ TEST(ObsCampaign, MetricsMatchResultAndJournalCounts) {
 
 TEST(ObsCampaign, TierInstructionCountersSumToJournalDyn) {
   // Per-tier dynamic instruction counters partition exactly what the
-  // journal records as `dyn`. On the default tier the native strike
-  // trigger runs one instruction per reached site instrumented; pinned to
-  // kInstrumented, every instruction is.
+  // journal records as `dyn`: executed on the fast tier, executed
+  // instrumented, and inherited from a golden sweep (a forked launch's
+  // count includes the prefix it did not execute). On the default tier the
+  // native strike trigger runs one instruction per reached site
+  // instrumented; pinned to kInstrumented, every instruction is, and every
+  // launch starts at launch start, so nothing is inherited or swept.
   for (const sim::EngineTier engine :
        {sim::EngineTier::kAuto, sim::EngineTier::kInstrumented}) {
     const fs::path dir = scratch_dir("tier_dyn");
@@ -466,13 +469,24 @@ TEST(ObsCampaign, TierInstructionCountersSumToJournalDyn) {
     const u64 instrumented =
         snap.counters.at("engine.dispatch.instrumented_winstrs");
     const u64 fast = snap.counters.at("engine.dispatch.fast_winstrs");
+    const u64 inherited =
+        snap.counters.at("engine.dispatch.inherited_winstrs");
+    const u64 swept = snap.counters.at("engine.dispatch.sweep_winstrs");
     const u64 downgrades = snap.counters.at("engine.dispatch.downgrades");
-    EXPECT_EQ(instrumented + fast, dyn) << static_cast<int>(engine);
+    EXPECT_EQ(instrumented + fast + inherited, dyn)
+        << static_cast<int>(engine);
     EXPECT_EQ(snap.counters.count("campaign.path.instrumented"), 0u);
     if (engine == sim::EngineTier::kInstrumented) {
       EXPECT_EQ(fast, 0u);
+      EXPECT_EQ(inherited, 0u);
+      EXPECT_EQ(swept, 0u);
       EXPECT_EQ(downgrades, 0u);  // a pinned instrumented launch never does
     } else {
+      // Each fork inherits at most what the sweeps executed, and the sweeps
+      // executed less than the unforked prefixes would have.
+      EXPECT_GT(inherited, 0u);
+      EXPECT_GT(swept, 0u);
+      EXPECT_LT(swept, inherited);
       // At most one downgrade per launch, and nothing here is pruned.
       EXPECT_LE(downgrades,
                 journal.value().records.size() - result.value().pruned);
