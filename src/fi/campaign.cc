@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <list>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <thread>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "common/failpoint.h"
@@ -282,10 +288,11 @@ void Campaign::credit_pruned(const sa::PruneMap& map,
 namespace {
 
 /// Most slots one golden sweep serves. Every chunk pays one sweep to its
-/// last strike, so the sweep's share of a slot falls as 1/K; past that, a
-/// larger K only coarsens the pool's load balancing (measured on gemm-iov,
-/// see ROADMAP).
-constexpr std::size_t kChunkSlots = 16;
+/// last strike, so the sweep's share of a slot falls as 1/K and the pool's
+/// threads queue for it less often; a larger K holds a chunk's records back
+/// from the journal longer. On gemm-iov 32 ran as fast as 64 and faster
+/// than 16 (ROADMAP).
+constexpr std::size_t kChunkSlots = 32;
 
 /// One slot of a chunk: its global index and planner-pinned stratum.
 struct ChunkSlot {
@@ -297,6 +304,9 @@ struct ChunkSlot {
 struct SlotResult {
   Result<InjectionRecord> record = Status::internal("slot not run");
   bool pruned = false;  ///< credited by the prune map, not simulated
+  /// Host time spent on the slot: a share of the chunk's sampling, then
+  /// its sweep segment, copy, tail and check.
+  f64 ms = 0;
 };
 
 /// The pause queue a strike trigger counts in: its one group's, or the
@@ -311,35 +321,97 @@ std::optional<std::size_t> pause_queue(const sim::StrikeTrigger& trigger) {
   return std::nullopt;
 }
 
-/// Runs one chunk of injection slots and returns their records in slot
-/// order. Every slot's site is sampled first (a pure function of seed,
-/// index and stratum); quarantined and prunable slots are credited. The
-/// rest share one workload setup on a golden device: a hook-free golden
-/// launch sweeps forward, pausing at the cycle boundary before each strike
-/// (sim::PauseQueues), and each injection runs its strike and tail on a
-/// work device and launch state copied from the sweep at that pause. The
-/// sweep stops after the last pause. Memory mode, the instrumented pin,
-/// and every retry after the first attempt fork at launch start instead.
-std::vector<SlotResult> run_chunk(const CampaignConfig& config,
-                                  const sim::Profile& profile,
-                                  u64 golden_dyn_instrs,
-                                  std::span<const ChunkSlot> slots,
-                                  const sa::PruneMap* prune_map,
-                                  obs::Registry* metrics) {
-  std::vector<SlotResult> out(slots.size());
+f64 ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<f64, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// One chunk of injection slots. Construction samples every slot's site (a
+/// pure function of seed, index and stratum) and credits quarantined and
+/// prunable slots; the rest share one workload setup on a golden device.
+/// next() hands those injections out one at a time, in sweep order: a
+/// hook-free golden launch sweeps forward and pauses at the cycle boundary
+/// before each strike (sim::PauseQueues). fork_into() copies the golden
+/// device and launch state at that point into a work device, and
+/// simulate() runs the injection — strike, tail, check, retries — on the
+/// copy. The sweep stops after the last pause. Memory mode, the
+/// instrumented pin, and every retry after the first attempt fork at launch
+/// start instead.
+///
+/// next() and fork_into() must not overlap each other; simulate() calls may
+/// run concurrently on distinct work devices (Workload::check only reads).
+class Chunk {
+ public:
+  Chunk(const CampaignConfig& config, const sim::Profile& profile,
+        u64 golden_dyn_instrs, std::span<const ChunkSlot> slots,
+        const sa::PruneMap* prune_map, obs::Registry* metrics);
+
+  /// The next injection, with the golden device and sweep positioned at its
+  /// fork point; nullopt once every injection was handed out.
+  std::optional<std::size_t> next();
+  /// Copies the fork point of `index`, the injection next() returned last,
+  /// into `work` and `state`.
+  void fork_into(std::size_t index, sim::Device& work,
+                 sim::LaunchState& state);
+  /// Runs injection `index` from the copy fork_into made.
+  void simulate(std::size_t index, sim::Device& work, sim::LaunchState& state);
+
+  std::vector<SlotResult>& results() { return out_; }
+
+ private:
   struct Pending {
-    std::size_t k = 0;  ///< position in `slots`
+    std::size_t k = 0;  ///< position in the chunk's slots
     FaultSite site;
     Rng rng;  ///< the slot's stream after sample_site (memory mode draws on)
   };
-  std::vector<Pending> pending;
+  using Queue = std::vector<std::pair<u64, std::size_t>>;  // (occurrence, p)
+
+  Result<InjectionRecord> run(const Pending& p, sim::Device& work,
+                              sim::LaunchState& state);
+  /// The queued injection next in sweep order, advancing the sweep to its
+  /// pause when needed; nullopt when none is left or the sweep failed.
+  std::optional<std::size_t> next_on_sweep();
+
+  const CampaignConfig& config_;
+  const u64 watchdog_;
+  obs::Registry* metrics_;
+  obs::Counter* sweep_winstrs_ = nullptr;
+  std::vector<SlotResult> out_;
+  std::vector<Pending> pending_;
+
+  std::unique_ptr<wl::Workload> workload_;
+  wl::LaunchSpec spec_;
+  std::unique_ptr<sim::Device> golden_;
+  sim::GlobalMemory::Snapshot checkpoint_;  ///< pre-launch, for retries
+
+  std::vector<std::size_t> at_start_;  ///< forked at launch start, in order
+  std::size_t started_ = 0;
+  std::array<Queue, sim::PauseQueues::kDynQueue + 1> queues_;
+  std::array<std::size_t, sim::PauseQueues::kDynQueue + 1> next_{};
+  sim::PauseQueues pause_;
+  sim::LaunchState sweep_;
+  bool watchdog_reached_ = false;
+};
+
+Chunk::Chunk(const CampaignConfig& config, const sim::Profile& profile,
+             u64 golden_dyn_instrs, std::span<const ChunkSlot> slots,
+             const sa::PruneMap* prune_map, obs::Registry* metrics)
+    : config_(config),
+      watchdog_(watchdog_for(config, golden_dyn_instrs)),
+      metrics_(metrics),
+      out_(slots.size()) {
+  const auto opened = std::chrono::steady_clock::now();
+  if (metrics) {
+    sweep_winstrs_ = &metrics->counter("engine.dispatch.sweep_winstrs");
+  }
   for (std::size_t k = 0; k < slots.size(); ++k) {
     const u64 index = slots[k].index;
     Rng rng = Rng::for_stream(config.seed, index);
     auto site = sample_site(config, profile, golden_dyn_instrs, rng,
                             slots[k].stratum);
     if (!site.is_ok()) {
-      out[k].record = site.status();
+      out_[k].record = site.status();
       continue;
     }
     // Quarantined injections get their site sampled (the RNG stream and
@@ -352,7 +424,7 @@ std::vector<SlotResult> run_chunk(const CampaignConfig& config,
       record.outcome = record.pre_recovery = Outcome::kQuarantined;
       record.attempts = 0;
       record.dyn_instrs = 0;
-      out[k].record = std::move(record);
+      out_[k].record = std::move(record);
       continue;
     }
     // Poison-injection modeling for tests/chaos: placed after the
@@ -373,275 +445,403 @@ std::vector<SlotResult> run_chunk(const CampaignConfig& config,
         InjectionRecord record;
         record.site = site.value();
         Campaign::credit_pruned(*prune_map, *entry, golden_dyn_instrs, record);
-        out[k].record = std::move(record);
-        out[k].pruned = true;
+        out_[k].record = std::move(record);
+        out_[k].pruned = true;
         continue;
       }
     }
-    pending.push_back({k, site.value(), rng});
+    pending_.push_back({k, site.value(), rng});
   }
-  if (pending.empty()) return out;
+  if (!pending_.empty()) {
+    auto fail_pending = [&](const Status& status) {
+      for (const Pending& p : pending_) out_[p.k].record = status;
+      pending_.clear();
+    };
+    workload_ = wl::make_workload(config.workload);
+    if (!workload_) {
+      fail_pending(
+          Status::not_found("unknown workload '" + config.workload + "'"));
+    } else {
+      golden_ = std::make_unique<sim::Device>(config.machine);
+      auto spec = workload_->setup(*golden_);
+      if (spec.is_ok()) {
+        spec_ = std::move(spec).take();
+      } else {
+        fail_pending(spec.status());
+      }
+    }
+  }
+  if (config.max_retries > 0 && !pending_.empty()) {
+    checkpoint_ = golden_->snapshot();
+  }
 
-  auto fail_pending = [&](const Status& status) {
-    for (const Pending& p : pending) out[p.k].record = status;
-  };
-  auto workload = wl::make_workload(config.workload);
-  if (!workload) {
-    fail_pending(
-        Status::not_found("unknown workload '" + config.workload + "'"));
-    return out;
+  // Queue each strike on the sweep by its trigger; the rest fork at launch
+  // start, from the untouched golden device, before the sweep moves it.
+  const bool sweep = config.model.mode != InjectionMode::kMemory &&
+                     config.engine != sim::EngineTier::kInstrumented;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const std::optional<sim::StrikeTrigger> trigger =
+        InjectorHook(pending_[i].site, config.machine).trigger();
+    const std::optional<std::size_t> q =
+        sweep && trigger ? pause_queue(*trigger) : std::nullopt;
+    if (q) {
+      queues_[*q].emplace_back(trigger->occurrence, i);
+    } else {
+      at_start_.push_back(i);
+    }
   }
-  sim::Device golden(config.machine);
-  auto spec_or = workload->setup(golden);
-  if (!spec_or.is_ok()) {
-    fail_pending(spec_or.status());
-    return out;
+  for (std::size_t q = 0; q < queues_.size(); ++q) {
+    std::sort(queues_[q].begin(), queues_[q].end());
+    if (!queues_[q].empty()) pause_.head[q] = queues_[q].front().first;
   }
-  const wl::LaunchSpec& spec = spec_or.value();
-  const sim::Program& program = workload->program();
-  // The pre-launch checkpoint every retry restarts from: the golden device
-  // itself moves on with the sweep.
-  sim::GlobalMemory::Snapshot checkpoint;
-  if (config.max_retries > 0) checkpoint = golden.snapshot();
 
+  // Credited slots are charged an equal share of the sampling above.
+  const f64 share = ms_since(opened) / static_cast<f64>(slots.size());
+  for (SlotResult& slot : out_) slot.ms = share;
+}
+
+std::optional<std::size_t> Chunk::next_on_sweep() {
+  while (true) {
+    if (watchdog_reached_) {
+      // Every strike left forks at the watchdog pause, where its tail meets
+      // the watchdog exactly as a launch from the start would.
+      for (std::size_t q = 0; q < queues_.size(); ++q) {
+        if (next_[q] < queues_[q].size()) return queues_[q][next_[q]++].second;
+      }
+      return std::nullopt;
+    }
+    // The heads due at the last pause fork from it, queue by queue; the
+    // sweep moves on when none is left.
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+      if (((pause_.due >> q) & 1u) == 0) continue;
+      pause_.due &= ~(1u << q);
+      const std::size_t p = queues_[q][next_[q]++].second;
+      pause_.head[q] = next_[q] < queues_[q].size()
+                           ? queues_[q][next_[q]].first
+                           : sim::PauseQueues::kEmpty;
+      return p;
+    }
+    bool left = false;
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+      left = left || next_[q] < queues_[q].size();
+    }
+    if (!left) return std::nullopt;
+    sim::LaunchOptions options;
+    options.watchdog_instrs = watchdog_;
+    options.engine = config_.engine;
+    options.pause = &pause_;
+    auto ran = golden_->run(sweep_, workload_->program(), spec_.grid,
+                            spec_.block, spec_.params, options);
+    if (ran.is_ok() && !ran.value().paused) {
+      ran = Status::internal("golden sweep of '" + config_.workload +
+                             "' ended before its last strike");
+    }
+    if (!ran.is_ok()) {
+      for (std::size_t q = 0; q < queues_.size(); ++q) {
+        for (; next_[q] < queues_[q].size(); ++next_[q]) {
+          out_[pending_[queues_[q][next_[q]].second].k].record = ran.status();
+        }
+      }
+      return std::nullopt;
+    }
+    watchdog_reached_ = pause_.due == 0;
+  }
+}
+
+std::optional<std::size_t> Chunk::next() {
+  const auto started = std::chrono::steady_clock::now();
+  std::optional<std::size_t> p;
+  if (started_ < at_start_.size()) {
+    p = at_start_[started_++];
+  } else {
+    p = next_on_sweep();
+  }
+  if (!p) {
+    // Exhausted: the sweep and the golden device are no longer needed.
+    if (sweep_winstrs_) sweep_winstrs_->inc(sweep_.dyn_warp);
+    sweep_ = sim::LaunchState{};
+    golden_.reset();
+    return std::nullopt;
+  }
+  out_[pending_[*p].k].ms += ms_since(started);
+  return p;
+}
+
+void Chunk::fork_into(std::size_t index, sim::Device& work,
+                      sim::LaunchState& state) {
+  // Launch-start forks are all handed out before the sweep's first step,
+  // so they copy the untouched golden device and the fresh sweep state.
+  const auto started = std::chrono::steady_clock::now();
+  work.memory() = golden_->memory();
+  state = sweep_;
+  out_[pending_[index].k].ms += ms_since(started);
+}
+
+void Chunk::simulate(std::size_t index, sim::Device& work,
+                     sim::LaunchState& state) {
+  const auto started = std::chrono::steady_clock::now();
+  SlotResult& slot = out_[pending_[index].k];
+  slot.record = run(pending_[index], work, state);
+  slot.ms += ms_since(started);
+}
+
+Result<InjectionRecord> Chunk::run(const Pending& p, sim::Device& work,
+                                   sim::LaunchState& state) {
+  const CampaignConfig& config = config_;
   const bool memory_mode = config.model.mode == InjectionMode::kMemory;
-  const u64 watchdog = watchdog_for(config, golden_dyn_instrs);
   const bool stuck_at =
       config.model.persistence == FaultPersistence::kStuckAt;
+  Rng rng = p.rng;
+  InjectionRecord record;
+  record.site = p.site;
+
+  // Memory mode samples its struck word once, before any attempt, so a
+  // stuck-at retry re-applies the identical upset (and so the rng sequence
+  // matches pre-recovery campaigns bit-exactly).
+  std::optional<MemoryFault> mem_fault;
+  if (memory_mode) {
+    mem_fault = sample_memory_fault(work.memory(), p.site, rng);
+  }
+
+  bool not_activated = false;
+  u64 first_launch_sbe = 0;
+  std::optional<wl::Workload::Checked> final_check;
 
   // Dispatch-tier telemetry, keyed on what the engine actually ran
   // (LaunchResult::instrumented_warp_instrs, LaunchResult::downgraded)
   // rather than what the launch requested: downgrades after the strike,
   // and dynamic warp instructions per tier. A forked launch's count
   // includes the prefix it inherited from the sweep, so instrumented +
-  // fast + inherited sum to the launched records' journal `dyn` total;
-  // sweep counts what the golden sweeps executed. Purely additive:
-  // counters go only to --metrics-out snapshots, never journals, so tier
-  // pins cannot perturb journal diffs.
+  // fast + inherited sum to the launched records' journal `dyn` total
+  // (sweep_winstrs counts what the golden sweeps executed). Purely
+  // additive: counters go only to --metrics-out snapshots, never journals,
+  // so tier pins cannot perturb journal diffs.
   obs::Counter* tier_downgrades = nullptr;
   obs::Counter* instrumented_winstrs = nullptr;
   obs::Counter* fast_winstrs = nullptr;
   obs::Counter* inherited_winstrs = nullptr;
-  obs::Counter* sweep_winstrs = nullptr;
-  if (metrics) {
-    tier_downgrades = &metrics->counter("engine.dispatch.downgrades");
+  if (metrics_) {
+    tier_downgrades = &metrics_->counter("engine.dispatch.downgrades");
     instrumented_winstrs =
-        &metrics->counter("engine.dispatch.instrumented_winstrs");
-    fast_winstrs = &metrics->counter("engine.dispatch.fast_winstrs");
-    inherited_winstrs = &metrics->counter("engine.dispatch.inherited_winstrs");
-    sweep_winstrs = &metrics->counter("engine.dispatch.sweep_winstrs");
+        &metrics_->counter("engine.dispatch.instrumented_winstrs");
+    fast_winstrs = &metrics_->counter("engine.dispatch.fast_winstrs");
+    inherited_winstrs =
+        &metrics_->counter("engine.dispatch.inherited_winstrs");
   }
 
-  sim::Device work(config.machine);
-  sim::LaunchState work_state;
-
-  // Simulates one pending injection from `fork`, the launch state of the
-  // golden device as it stands: copies both into the work device, strikes,
-  // runs the tail, checks, and retries from the pre-launch checkpoint.
-  auto simulate = [&](const Pending& p,
-                      const sim::LaunchState& fork) -> Result<InjectionRecord> {
-    work.memory() = golden.memory();
-    work_state = fork;
-    Rng rng = p.rng;
-    InjectionRecord record;
-    record.site = p.site;
-
-    // Memory mode samples its struck word once, before any attempt, so a
-    // stuck-at retry re-applies the identical upset (and so the rng
-    // sequence matches pre-recovery campaigns bit-exactly).
-    std::optional<MemoryFault> mem_fault;
+  // One attempt = arm fault (if due) + launch + result check. The retry
+  // executor restores the pre-launch checkpoint between calls, and a retry
+  // launches from launch start, so every retry sees bit-identical initial
+  // device state.
+  auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
+    const bool armed = attempt == 0 || stuck_at;
+    if (attempt > 0) state = sim::LaunchState{};
+    const u64 inherited = state.dyn_warp;
+    InjectorHook injector(p.site, work.config());
+    sim::LaunchOptions options;
+    options.watchdog_instrs = watchdog_;
+    options.engine = config.engine;
     if (memory_mode) {
-      mem_fault = sample_memory_fault(work.memory(), p.site, rng);
+      if (armed && mem_fault) {
+        work.memory().inject_fault(mem_fault->addr, mem_fault->mask);
+      }
+    } else if (armed) {
+      options.hooks.push_back(&injector);
     }
-
-    bool not_activated = false;
-    u64 first_launch_sbe = 0;
-    std::optional<wl::Workload::Checked> final_check;
-
-    // One attempt = arm fault (if due) + launch + result check. The retry
-    // executor restores the pre-launch checkpoint between calls, and a
-    // retry launches from launch start, so every retry sees bit-identical
-    // initial device state.
-    auto attempt_fn = [&](u32 attempt) -> Result<recover::Attempt> {
-      const bool armed = attempt == 0 || stuck_at;
-      if (attempt > 0) work_state = sim::LaunchState{};
-      const u64 inherited = work_state.dyn_warp;
-      InjectorHook injector(p.site, work.config());
-      sim::LaunchOptions options;
-      options.watchdog_instrs = watchdog;
-      options.engine = config.engine;
+    auto launch = work.run(state, workload_->program(), spec_.grid,
+                           spec_.block, spec_.params, options);
+    if (!launch.is_ok()) return launch.status();
+    if (metrics_) {
+      const sim::LaunchResult& ran = launch.value();
+      if (ran.downgraded) tier_downgrades->inc();
+      instrumented_winstrs->inc(ran.instrumented_warp_instrs);
+      inherited_winstrs->inc(inherited);
+      fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs -
+                        inherited);
+    }
+    if (attempt == 0) {
       if (memory_mode) {
-        if (armed && mem_fault) {
-          work.memory().inject_fault(mem_fault->addr, mem_fault->mask);
-        }
-      } else if (armed) {
-        options.hooks.push_back(&injector);
+        record.effect.activated = mem_fault.has_value();
+      } else {
+        record.effect = injector.effect();
       }
-      auto launch = work.run(work_state, program, spec.grid, spec.block,
-                             spec.params, options);
-      if (!launch.is_ok()) return launch.status();
-      if (metrics) {
-        const sim::LaunchResult& ran = launch.value();
-        if (ran.downgraded) tier_downgrades->inc();
-        instrumented_winstrs->inc(ran.instrumented_warp_instrs);
-        inherited_winstrs->inc(inherited);
-        fast_winstrs->inc(ran.dyn_warp_instrs - ran.instrumented_warp_instrs -
-                          inherited);
-      }
-      if (attempt == 0) {
-        if (memory_mode) {
-          record.effect.activated = mem_fault.has_value();
-        } else {
-          record.effect = injector.effect();
-        }
-        first_launch_sbe = launch.value().ecc.corrected_sbe;
-      }
+      first_launch_sbe = launch.value().ecc.corrected_sbe;
+    }
 
-      recover::Attempt result;
-      result.dyn_instrs = launch.value().dyn_warp_instrs;
-      final_check.reset();
-      if (launch.value().trap.fired()) {
-        result.trap = launch.value().trap;
-        return result;
-      }
-      if (attempt == 0 && !memory_mode && !record.effect.activated) {
-        not_activated = true;  // site predicated off; output is golden
-        return result;
-      }
-      auto checked = workload->check(work);
-      if (!checked.is_ok()) return checked.status();
-      final_check = checked.value();
-      if (checked.value().trap != sim::TrapKind::kNone) {
-        // DBE consumed during result copy-back: detected at the API
-        // boundary.
-        result.trap.kind = checked.value().trap;
-      }
+    recover::Attempt result;
+    result.dyn_instrs = launch.value().dyn_warp_instrs;
+    final_check.reset();
+    if (launch.value().trap.fired()) {
+      result.trap = launch.value().trap;
       return result;
-    };
-
-    auto executed = recover::run_with_retry(
-        work, checkpoint, recover::RetryPolicy{config.max_retries},
-        attempt_fn);
-    if (!executed.is_ok()) return executed.status();
-    const recover::RetryResult& retry = executed.value();
-    record.attempts = retry.attempts;
-    record.dyn_instrs = retry.total_dyn_instrs;
-
-    if (retry.gave_up()) {
-      record.trap = retry.last_trap.kind;
-      record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
-      // With recovery off the historical labels (DUE / Hang) stand
-      // unchanged.
-      record.outcome = config.max_retries == 0 ? record.pre_recovery
-                                               : Outcome::kUnrecoverableDue;
-      return record;
     }
-
-    if (not_activated) {
-      record.outcome = record.pre_recovery = Outcome::kNotActivated;
-      return record;
+    if (attempt == 0 && !memory_mode && !record.effect.activated) {
+      not_activated = true;  // site predicated off; output is golden
+      return result;
     }
-
-    // Final attempt completed and was checked.
-    const wl::CheckResult& result = final_check->result;
-    record.error_magnitude = result.max_rel_err;
-    if (retry.recovered()) {
-      // The run would have been lost without recovery; record what was
-      // detected and whether the relaunch actually produced a good answer.
-      record.trap = retry.first_trap.kind;
-      record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
-      record.outcome =
-          result.passed() ? Outcome::kRecoveredRetry : Outcome::kSdc;
-      return record;
+    auto checked = workload_->check(work);
+    if (!checked.is_ok()) return checked.status();
+    final_check = checked.value();
+    if (checked.value().trap != sim::TrapKind::kNone) {
+      // DBE consumed during result copy-back: detected at the API boundary.
+      result.trap.kind = checked.value().trap;
     }
-    if (record.effect.corrected_by_ecc) {
-      record.outcome = Outcome::kDetectedCorrected;
-    } else if (result.bitwise_equal) {
-      // For memory mode, credit ECC when the launch observed corrections.
-      record.outcome = (memory_mode && first_launch_sbe > 0)
-                           ? Outcome::kDetectedCorrected
-                           : Outcome::kMasked;
-    } else if (result.within_tolerance) {
-      record.outcome = Outcome::kMaskedTolerated;
-    } else {
-      record.outcome = Outcome::kSdc;
-    }
-    record.pre_recovery = record.outcome;
-    return record;
+    return result;
   };
 
-  // Queue each strike on the sweep by its trigger; the rest fork at launch
-  // start, from the untouched golden device, before the sweep moves it.
-  using Queue = std::vector<std::pair<u64, std::size_t>>;  // (occurrence, p)
-  std::array<Queue, sim::PauseQueues::kDynQueue + 1> queues;
-  const bool sweep =
-      !memory_mode && config.engine != sim::EngineTier::kInstrumented;
-  const sim::LaunchState launch_start;
-  std::size_t queued = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    std::optional<sim::StrikeTrigger> trigger =
-        InjectorHook(pending[i].site, config.machine).trigger();
-    std::optional<std::size_t> q =
-        sweep && trigger ? pause_queue(*trigger) : std::nullopt;
-    if (q) {
-      queues[*q].emplace_back(trigger->occurrence, i);
-      ++queued;
-    } else {
-      out[pending[i].k].record = simulate(pending[i], launch_start);
-    }
-  }
-  if (queued == 0) return out;
+  auto executed = recover::run_with_retry(
+      work, checkpoint_, recover::RetryPolicy{config.max_retries}, attempt_fn);
+  if (!executed.is_ok()) return executed.status();
+  const recover::RetryResult& retry = executed.value();
+  record.attempts = retry.attempts;
+  record.dyn_instrs = retry.total_dyn_instrs;
 
-  sim::PauseQueues pause;
-  std::array<std::size_t, sim::PauseQueues::kDynQueue + 1> next{};
-  for (std::size_t q = 0; q < queues.size(); ++q) {
-    std::sort(queues[q].begin(), queues[q].end());
-    if (!queues[q].empty()) pause.head[q] = queues[q].front().first;
+  if (retry.gave_up()) {
+    record.trap = retry.last_trap.kind;
+    record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
+    // With recovery off the historical labels (DUE / Hang) stand unchanged.
+    record.outcome = config.max_retries == 0 ? record.pre_recovery
+                                             : Outcome::kUnrecoverableDue;
+    return record;
   }
-  sim::LaunchState state;
-  sim::LaunchOptions sweep_options;
-  sweep_options.watchdog_instrs = watchdog;
-  sweep_options.engine = config.engine;
-  sweep_options.pause = &pause;
-  while (queued > 0) {
-    auto ran = golden.run(state, program, spec.grid, spec.block, spec.params,
-                          sweep_options);
-    if (ran.is_ok() && !ran.value().paused) {
-      ran = Status::internal("golden sweep of '" + config.workload +
-                             "' ended before its last strike");
-    }
-    if (!ran.is_ok()) {
-      for (std::size_t q = 0; q < queues.size(); ++q) {
-        for (std::size_t at = next[q]; at < queues[q].size(); ++at) {
-          out[pending[queues[q][at].second].k].record = ran.status();
-        }
-      }
-      break;
-    }
-    // Tails run in sweep order; the caller commits records in slot order.
-    if (pause.due == 0) {
-      // The watchdog is within reach: every strike left forks here, and
-      // its tail meets the watchdog where a launch from the start would.
-      for (std::size_t q = 0; q < queues.size(); ++q) {
-        for (; next[q] < queues[q].size(); ++next[q]) {
-          const Pending& p = pending[queues[q][next[q]].second];
-          out[p.k].record = simulate(p, state);
-        }
-      }
-      break;
-    }
-    for (std::size_t q = 0; q < queues.size(); ++q) {
-      if (((pause.due >> q) & 1u) == 0) continue;
-      const Pending& p = pending[queues[q][next[q]].second];
-      out[p.k].record = simulate(p, state);
-      --queued;
-      ++next[q];
-      pause.head[q] = next[q] < queues[q].size() ? queues[q][next[q]].first
-                                                 : sim::PauseQueues::kEmpty;
-    }
+
+  if (not_activated) {
+    record.outcome = record.pre_recovery = Outcome::kNotActivated;
+    return record;
   }
-  if (sweep_winstrs) sweep_winstrs->inc(state.dyn_warp);
-  return out;
+
+  // Final attempt completed and was checked.
+  const wl::CheckResult& result = final_check->result;
+  record.error_magnitude = result.max_rel_err;
+  if (retry.recovered()) {
+    // The run would have been lost without recovery; record what was
+    // detected and whether the relaunch actually produced a good answer.
+    record.trap = retry.first_trap.kind;
+    record.pre_recovery = outcome_for_trap(retry.first_trap.kind);
+    record.outcome =
+        result.passed() ? Outcome::kRecoveredRetry : Outcome::kSdc;
+    return record;
+  }
+  if (record.effect.corrected_by_ecc) {
+    record.outcome = Outcome::kDetectedCorrected;
+  } else if (result.bitwise_equal) {
+    // For memory mode, credit ECC when the launch observed corrections.
+    record.outcome = (memory_mode && first_launch_sbe > 0)
+                         ? Outcome::kDetectedCorrected
+                         : Outcome::kMasked;
+  } else if (result.within_tolerance) {
+    record.outcome = Outcome::kMaskedTolerated;
+  } else {
+    record.outcome = Outcome::kSdc;
+  }
+  record.pre_recovery = record.outcome;
+  return record;
+}
+
+/// Runs `count` chunks over `pool`. The pool's threads share one chunk at a
+/// time: under a lock, a thread advances the chunk's golden sweep to its
+/// next fork point and copies it into its own work device and state, then
+/// runs the tail unlocked. So one golden sweep is in flight, a campaign
+/// holds one golden launch state beside one work state per pool thread,
+/// and the pool balances per injection. When the chunk runs dry, the
+/// calling thread opens the next one (`open(c)` builds chunk c) and takes
+/// its sweep to the first fork point: the golden states' launch-time
+/// allocations then all come from the calling thread, not from whichever
+/// pool thread happens to be first. `commit(c, chunk)` runs once per chunk,
+/// under the lock, after its last injection; with one pool thread it runs
+/// before the next chunk opens, so chunks commit in order.
+void run_chunks(
+    ThreadPool& pool, const sim::MachineConfig& machine, std::size_t count,
+    const std::function<std::unique_ptr<Chunk>(std::size_t)>& open,
+    const std::function<void(std::size_t, Chunk&)>& commit) {
+  struct Open {
+    std::size_t id = 0;
+    std::unique_ptr<Chunk> chunk;
+    std::optional<std::size_t> first;  ///< the fork point open() prepared
+    std::size_t running = 0;  ///< injections handed out, not yet done
+    bool dry = false;         ///< every injection was handed out
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::list<Open> live;  // open chunks, oldest first; the last hands out
+  bool wanted = false;   // the pool waits for the next chunk
+  bool done = false;     // every chunk was opened, or a thread failed
+  std::exception_ptr failed;
+  // Commits and drops `it` once it is dry and nothing of it runs.
+  auto settle = [&](std::list<Open>::iterator it) {
+    if (it->dry && it->running == 0) {
+      commit(it->id, *it->chunk);
+      live.erase(it);
+    }
+  };
+
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit([&] {
+      sim::Device work(machine);
+      sim::LaunchState state;
+      std::unique_lock<std::mutex> lock(mu);
+      try {
+        while (true) {
+          std::optional<std::size_t> index;
+          auto job = live.end();
+          if (!live.empty() && !live.back().dry) {
+            job = std::prev(live.end());
+            index = job->first ? std::exchange(job->first, std::nullopt)
+                               : job->chunk->next();
+            if (!index) {
+              job->dry = true;
+              settle(job);
+              continue;
+            }
+          } else if (done) {
+            return;
+          } else {
+            wanted = true;
+            cv.notify_all();
+            cv.wait(lock, [&] {
+              return done || (!live.empty() && !live.back().dry);
+            });
+            continue;
+          }
+          job->chunk->fork_into(*index, work, state);
+          ++job->running;
+          lock.unlock();
+          job->chunk->simulate(*index, work, state);
+          lock.lock();
+          --job->running;
+          settle(job);
+        }
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
+        if (!failed) failed = std::current_exception();
+        done = true;
+        cv.notify_all();
+      }
+    });
+  }
+
+  std::unique_lock<std::mutex> lock(mu);
+  try {
+    for (std::size_t c = 0; c < count; ++c) {
+      cv.wait(lock, [&] { return done || wanted; });
+      if (done) break;
+      lock.unlock();
+      std::unique_ptr<Chunk> chunk = open(c);
+      std::optional<std::size_t> first = chunk->next();
+      lock.lock();
+      wanted = false;
+      live.push_back(Open{c, std::move(chunk), first, 0, false});
+      cv.notify_all();
+    }
+  } catch (...) {
+    if (!lock.owns_lock()) lock.lock();
+    if (!failed) failed = std::current_exception();
+  }
+  done = true;
+  cv.notify_all();
+  lock.unlock();
+  pool.wait_idle();
+  if (failed) std::rethrow_exception(failed);
 }
 
 }  // namespace
@@ -652,11 +852,17 @@ Result<InjectionRecord> Campaign::run_single(
     const sa::PruneMap* prune_map, bool* pruned_out, obs::Registry* metrics,
     std::optional<sim::InstrGroup> stratum) {
   const ChunkSlot slot{run_index, stratum};
-  std::vector<SlotResult> ran =
-      run_chunk(config, profile, golden_dyn_instrs, {&slot, 1}, prune_map,
-                metrics);
-  if (ran[0].pruned && pruned_out) *pruned_out = true;
-  return std::move(ran[0].record);
+  Chunk chunk(config, profile, golden_dyn_instrs, {&slot, 1}, prune_map,
+              metrics);
+  sim::Device work(config.machine);
+  sim::LaunchState state;
+  while (const std::optional<std::size_t> index = chunk.next()) {
+    chunk.fork_into(*index, work, state);
+    chunk.simulate(*index, work, state);
+  }
+  SlotResult& ran = chunk.results()[0];
+  if (ran.pruned && pruned_out) *pruned_out = true;
+  return std::move(ran.record);
 }
 
 Result<sa::PruneMap> Campaign::build_prune_map(const CampaignConfig& config) {
@@ -882,8 +1088,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   ThreadPool pool(config.threads);
 
   // Chunks: contiguous runs of at most kChunkSlots pending slots, each
-  // simulated from one golden sweep (run_chunk) and fanned out over the
-  // pool as one work item. The supervisor blames a crashed worker's lowest
+  // simulated from one golden sweep whose injections the pool's threads
+  // share (run_chunks). The supervisor blames a crashed worker's lowest
   // unjournaled index, which a chunk only narrows to its first slot; so a
   // journaled single-threaded campaign (every `gpufi run` worker) runs its
   // first kChunkSlots pending slots as chunks of one. A crash there names
@@ -913,57 +1119,62 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   // One chunk: simulate (or credit) its slots, then commit them in slot
   // order — journal, measure. `alloc` pins each slot's instruction group
   // under a stratified allocation of the block starting at `b0`.
-  auto run_slots = [&](const std::vector<std::size_t>& chunk,
+  // Runs `chunks` over the pool (run_chunks), then commits each chunk's
+  // slots in slot order — journal, measure. `alloc` pins each slot's
+  // instruction group under a stratified allocation of the block starting
+  // at `b0`.
+  auto run_slots = [&](const std::vector<std::vector<std::size_t>>& chunks,
                        const std::optional<PlanEvent>& alloc, u64 b0) {
-    std::vector<ChunkSlot> slots;
-    for (const std::size_t slot : chunk) {
-      const u64 index = result.run_indices[slot];
-      slots.push_back(
-          {index, alloc ? Planner::group_for(*alloc, index - b0)
-                        : std::nullopt});
-    }
-    attempted.inc(chunk.size());
-    const auto started = std::chrono::steady_clock::now();
-    std::vector<SlotResult> ran =
-        run_chunk(config, result.profile, result.golden_dyn_instrs, slots,
-                  prune_map ? &*prune_map : nullptr, &reg);
-    // Slots of a chunk share its sweep: each is charged an equal share.
-    const f64 slot_ms =
-        std::chrono::duration_cast<std::chrono::duration<f64, std::milli>>(
-            std::chrono::steady_clock::now() - started)
-            .count() /
-        static_cast<f64>(chunk.size());
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      const std::size_t slot = chunk[k];
-      // Generic chaos site: "worker dies at the n-th record it commits" (or
-      // at a specific global index via key=). The kill is executed inside
-      // fp::hit, mid-shard, after n-1 records are already journaled —
-      // which is exactly the crash shape the supervisor must recover from.
-      if (fp::enabled()) {
-        fp::hit("campaign.injection", result.run_indices[slot]);
+    auto open = [&](std::size_t c) {
+      std::vector<ChunkSlot> slots;
+      for (const std::size_t slot : chunks[c]) {
+        const u64 index = result.run_indices[slot];
+        slots.push_back(
+            {index, alloc ? Planner::group_for(*alloc, index - b0)
+                          : std::nullopt});
       }
-      latency.observe(slot_ms);
-      pruned_flags[slot] = ran[k].pruned ? 1 : 0;
-      if (ran[k].pruned) pruned_counter.inc();
-      if (!ran[k].record.is_ok()) {
-        errors[slot] = ran[k].record.status();
-        continue;
+      attempted.inc(slots.size());
+      return std::make_unique<Chunk>(config, result.profile,
+                                     result.golden_dyn_instrs, slots,
+                                     prune_map ? &*prune_map : nullptr, &reg);
+    };
+    auto commit = [&](std::size_t c, Chunk& chunk) {
+      std::vector<SlotResult>& ran = chunk.results();
+      for (std::size_t k = 0; k < chunks[c].size(); ++k) {
+        const std::size_t slot = chunks[c][k];
+        // Generic chaos site: "worker dies at the n-th record it commits"
+        // (or at a specific global index via key=). The kill is executed
+        // inside fp::hit, mid-shard, after n-1 records are already
+        // journaled — which is exactly the crash shape the supervisor must
+        // recover from.
+        if (fp::enabled()) {
+          fp::hit("campaign.injection", result.run_indices[slot]);
+        }
+        latency.observe(ran[k].ms);
+        pruned_flags[slot] = ran[k].pruned ? 1 : 0;
+        if (ran[k].pruned) pruned_counter.inc();
+        if (!ran[k].record.is_ok()) {
+          errors[slot] = ran[k].record.status();
+          continue;
+        }
+        result.records[slot] = std::move(ran[k].record).take();
+        if (writer) {
+          errors[slot] =
+              writer->append(result.run_indices[slot], result.records[slot]);
+        }
+        const InjectionRecord& final_record = result.records[slot];
+        completed.inc();
+        outcome_counters[static_cast<int>(final_record.outcome)]->inc();
+        if (final_record.attempts > 1) retries.inc(final_record.attempts - 1);
+        if (final_record.pre_recovery == Outcome::kHang) watchdog_hangs.inc();
+        // After the journal append, so status never runs ahead of the
+        // journal.
+        if (heartbeat) {
+          heartbeat->record(static_cast<int>(final_record.outcome));
+        }
       }
-      result.records[slot] = std::move(ran[k].record).take();
-      if (writer) {
-        errors[slot] =
-            writer->append(result.run_indices[slot], result.records[slot]);
-      }
-      const InjectionRecord& final_record = result.records[slot];
-      completed.inc();
-      outcome_counters[static_cast<int>(final_record.outcome)]->inc();
-      if (final_record.attempts > 1) retries.inc(final_record.attempts - 1);
-      if (final_record.pre_recovery == Outcome::kHang) watchdog_hangs.inc();
-      // After the journal append, so status never runs ahead of the journal.
-      if (heartbeat) {
-        heartbeat->record(static_cast<int>(final_record.outcome));
-      }
-    }
+    };
+    run_chunks(pool, config.machine, chunks.size(), open, commit);
   };
 
   if (!config.planner.active()) {
@@ -971,10 +1182,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     // slice. This path is byte-identical to pre-planner builds.
     std::vector<std::size_t> all(result.run_indices.size());
     for (std::size_t slot = 0; slot < all.size(); ++slot) all[slot] = slot;
-    const auto chunks = make_chunks(all);
-    pool.parallel_for(chunks.size(), [&](std::size_t c) {
-      run_slots(chunks[c], std::nullopt, 0);
-    });
+    run_slots(make_chunks(all), std::nullopt, 0);
     result.effective_injections = config.num_injections;
   } else {
     auto planner_or = Planner::create(config, result.profile);
@@ -1098,10 +1306,7 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
       }
       if (alloc) allocs_used.push_back(*alloc);
 
-      const auto chunks = make_chunks(block_slots);
-      pool.parallel_for(chunks.size(), [&](std::size_t c) {
-        run_slots(chunks[c], alloc, b0);
-      });
+      run_slots(make_chunks(block_slots), alloc, b0);
       for (const std::size_t slot : block_slots) {
         if (!errors[slot].is_ok()) return errors[slot];
       }

@@ -520,6 +520,9 @@ TEST(ObsCampaign, ShardedSnapshotsMergeToUnshardedTotals) {
   const Snapshot want = whole.snapshot();
   for (const auto& [name, value] : want.counters) {
     if (name.rfind("campaign.golden_cache.", 0) == 0) continue;  // per-process
+    // A golden sweep runs per chunk, to the chunk's last strike: what it
+    // executes depends on how the slots are grouped, not on the records.
+    if (name == "engine.dispatch.sweep_winstrs") continue;
     EXPECT_EQ(merged.counters.at(name), value) << name;
   }
   EXPECT_EQ(
