@@ -290,8 +290,8 @@ namespace {
 /// Most slots one golden sweep serves. Every chunk pays one sweep to its
 /// last strike, so the sweep's share of a slot falls as 1/K and the pool's
 /// threads queue for it less often; a larger K holds a chunk's records back
-/// from the journal longer. On gemm-iov 32 ran as fast as 64 and faster
-/// than 16 (ROADMAP).
+/// from the journal longer. On gemm/a100 at 4 threads, 8, 16, 32 and 64 ran
+/// about 2500, 3200, 4100 and 4800 injections/s (BENCH_fork.json).
 constexpr std::size_t kChunkSlots = 32;
 
 /// One slot of a chunk: its global index and planner-pinned stratum.
@@ -1116,9 +1116,6 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
     return chunks;
   };
 
-  // One chunk: simulate (or credit) its slots, then commit them in slot
-  // order — journal, measure. `alloc` pins each slot's instruction group
-  // under a stratified allocation of the block starting at `b0`.
   // Runs `chunks` over the pool (run_chunks), then commits each chunk's
   // slots in slot order — journal, measure. `alloc` pins each slot's
   // instruction group under a stratified allocation of the block starting

@@ -181,7 +181,7 @@ struct CampaignConfig {
   /// crashes the process cannot fire again). Kept out of the journal
   /// header so a quarantined resume stays compatible with earlier journals.
   /// Must be sorted (normalize_quarantine()): is_quarantined runs once per
-  /// injection inside the hot parallel_for, where the old linear scan cost
+  /// injection inside the hot campaign loop, where the old linear scan cost
   /// O(|quarantine|) per record.
   std::vector<u64> quarantine;
   [[nodiscard]] bool is_quarantined(u64 run_index) const {
@@ -286,10 +286,11 @@ class Campaign {
   /// Replays a single injection (used by tests and for debugging): returns
   /// the record produced for global run index `i` of `config`, running it
   /// as a chunk of one (a golden sweep to its strike, then the fork).
-  /// Sharding and chunking never change what a given index produces. When `prune_map` is given
-  /// and the sampled site is prunable, the record is filled analytically
-  /// without simulating (and `*pruned_out` is set when provided) — the
-  /// record is field-identical to what the simulation would produce.
+  /// Sharding and chunking never change what a given index produces. When
+  /// `prune_map` is given and the sampled site is prunable, the record is
+  /// filled analytically without simulating (and `*pruned_out` is set when
+  /// provided) — the record is field-identical to what the simulation would
+  /// produce.
   /// `metrics`, when given, receives execution-path selection counters; it
   /// never influences the record produced. `stratum`, when given, pins the
   /// sampled instruction group (stratified campaigns assign each index its

@@ -165,25 +165,26 @@ TEST(Fork, GroupQueuesPauseBeforeTheirOccurrence) {
   // Two groups at once: the sweep pauses for whichever head comes first
   // and reports exactly the queues within reach.
   const int load = static_cast<int>(sim::InstrGroup::kLoad);
-  const int fp = static_cast<int>(sim::InstrGroup::kIntMad);
+  const int mad = static_cast<int>(sim::InstrGroup::kIntMad);
   ASSERT_GT(profile.warp_instrs_by_group[load], 4u);
-  ASSERT_GT(profile.warp_instrs_by_group[fp], 4u);
+  ASSERT_GT(profile.warp_instrs_by_group[mad], 4u);
   const u64 reach = static_cast<u64>(arch::a100().num_sms) *
                     arch::a100().issue_width;
   std::vector<u64> loads = {0, profile.warp_instrs_by_group[load] / 2,
                             profile.warp_instrs_by_group[load] - 1};
-  std::vector<u64> fps = {profile.warp_instrs_by_group[fp] / 3,
-                          profile.warp_instrs_by_group[fp] - 1};
+  std::vector<u64> mads = {profile.warp_instrs_by_group[mad] / 3,
+                           profile.warp_instrs_by_group[mad] - 1};
   PauseQueues pause;
   LaunchOptions options;
   options.pause = &pause;
   LaunchState state;
   std::size_t next_load = 0;
-  std::size_t next_fp = 0;
-  while (next_load < loads.size() || next_fp < fps.size()) {
+  std::size_t next_mad = 0;
+  while (next_load < loads.size() || next_mad < mads.size()) {
     pause.head[load] =
         next_load < loads.size() ? loads[next_load] : PauseQueues::kEmpty;
-    pause.head[fp] = next_fp < fps.size() ? fps[next_fp] : PauseQueues::kEmpty;
+    pause.head[mad] =
+        next_mad < mads.size() ? mads[next_mad] : PauseQueues::kEmpty;
     auto ran = g.run(*g.device, state, options);
     ASSERT_TRUE(ran.is_ok());
     ASSERT_TRUE(ran.value().paused);
@@ -193,10 +194,10 @@ TEST(Fork, GroupQueuesPauseBeforeTheirOccurrence) {
       EXPECT_LT(loads[next_load] - state.issued[load], reach);
       ++next_load;
     }
-    if ((pause.due >> fp) & 1u) {
-      EXPECT_LE(state.issued[fp], fps[next_fp]);
-      EXPECT_LT(fps[next_fp] - state.issued[fp], reach);
-      ++next_fp;
+    if ((pause.due >> mad) & 1u) {
+      EXPECT_LE(state.issued[mad], mads[next_mad]);
+      EXPECT_LT(mads[next_mad] - state.issued[mad], reach);
+      ++next_mad;
     }
   }
   // The per-group issue counters sum to the dynamic count.
@@ -372,7 +373,8 @@ InjectionRecord unforked_record(const CampaignConfig& config, u64 golden_dyn,
   record.attempts = 0;
   sim::Trap first;
   sim::Trap last;
-  std::optional<wl::Workload::Checked> checked;
+  wl::CheckResult result;  // of the final attempt, when it was checked
+  bool checked = false;
   bool not_activated = false;
   for (u32 attempt = 0;; ++attempt) {
     if (attempt > 0) device.restore(checkpoint);
@@ -388,14 +390,15 @@ InjectionRecord unforked_record(const CampaignConfig& config, u64 golden_dyn,
     record.dyn_instrs += launch.value().dyn_warp_instrs;
     if (attempt == 0) record.effect = injector.effect();
     sim::Trap trap = launch.value().trap;
-    checked.reset();
+    checked = false;
     if (!trap.fired()) {
       if (attempt == 0 && !record.effect.activated) {
         not_activated = true;
       } else {
         auto c = workload->check(device);
         EXPECT_TRUE(c.is_ok());
-        checked = c.value();
+        result = c.value().result;
+        checked = true;
         if (c.value().trap != sim::TrapKind::kNone) trap.kind = c.value().trap;
       }
     }
@@ -414,7 +417,7 @@ InjectionRecord unforked_record(const CampaignConfig& config, u64 golden_dyn,
     record.outcome = record.pre_recovery = Outcome::kNotActivated;
     return record;
   }
-  const wl::CheckResult& result = checked->result;
+  EXPECT_TRUE(checked);
   record.error_magnitude = result.max_rel_err;
   if (first.fired()) {
     record.trap = first.kind;
