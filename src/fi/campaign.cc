@@ -287,13 +287,6 @@ void Campaign::credit_pruned(const sa::PruneMap& map,
 
 namespace {
 
-/// Most slots one golden sweep serves. Every chunk pays one sweep to its
-/// last strike, so the sweep's share of a slot falls as 1/K and the pool's
-/// threads queue for it less often; a larger K holds a chunk's records back
-/// from the journal longer. On gemm/a100 at 4 threads, 8, 16, 32 and 64 ran
-/// about 2500, 3200, 4100 and 4800 injections/s (BENCH_fork.json).
-constexpr std::size_t kChunkSlots = 32;
-
 /// One slot of a chunk: its global index and planner-pinned stratum.
 struct ChunkSlot {
   u64 index = 0;
@@ -304,8 +297,8 @@ struct ChunkSlot {
 struct SlotResult {
   Result<InjectionRecord> record = Status::internal("slot not run");
   bool pruned = false;  ///< credited by the prune map, not simulated
-  /// Host time spent on the slot: a share of the chunk's sampling, then
-  /// its sweep segment, copy, tail and check.
+  /// Host time simulate() spent on the slot (strike, tail, check and
+  /// retries); 0 for a credited slot.
   f64 ms = 0;
 };
 
@@ -321,12 +314,6 @@ std::optional<std::size_t> pause_queue(const sim::StrikeTrigger& trigger) {
   return std::nullopt;
 }
 
-f64 ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<f64, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// One chunk of injection slots. Construction samples every slot's site (a
 /// pure function of seed, index and stratum) and credits quarantined and
 /// prunable slots; the rest share one workload setup on a golden device.
@@ -340,7 +327,7 @@ f64 ms_since(std::chrono::steady_clock::time_point start) {
 /// start instead.
 ///
 /// next() and fork_into() must not overlap each other; simulate() calls may
-/// run concurrently on distinct work devices (Workload::check only reads).
+/// run concurrently on distinct work devices (Workload::check is const).
 class Chunk {
  public:
   Chunk(const CampaignConfig& config, const sim::Profile& profile,
@@ -350,10 +337,9 @@ class Chunk {
   /// The next injection, with the golden device and sweep positioned at its
   /// fork point; nullopt once every injection was handed out.
   std::optional<std::size_t> next();
-  /// Copies the fork point of `index`, the injection next() returned last,
-  /// into `work` and `state`.
-  void fork_into(std::size_t index, sim::Device& work,
-                 sim::LaunchState& state);
+  /// Copies the fork point of the injection next() returned last into
+  /// `work` and `state`.
+  void fork_into(sim::Device& work, sim::LaunchState& state);
   /// Runs injection `index` from the copy fork_into made.
   void simulate(std::size_t index, sim::Device& work, sim::LaunchState& state);
 
@@ -401,7 +387,6 @@ Chunk::Chunk(const CampaignConfig& config, const sim::Profile& profile,
       watchdog_(watchdog_for(config, golden_dyn_instrs)),
       metrics_(metrics),
       out_(slots.size()) {
-  const auto opened = std::chrono::steady_clock::now();
   if (metrics) {
     sweep_winstrs_ = &metrics->counter("engine.dispatch.sweep_winstrs");
   }
@@ -494,10 +479,6 @@ Chunk::Chunk(const CampaignConfig& config, const sim::Profile& profile,
     std::sort(queues_[q].begin(), queues_[q].end());
     if (!queues_[q].empty()) pause_.head[q] = queues_[q].front().first;
   }
-
-  // Credited slots are charged an equal share of the sampling above.
-  const f64 share = ms_since(opened) / static_cast<f64>(slots.size());
-  for (SlotResult& slot : out_) slot.ms = share;
 }
 
 std::optional<std::size_t> Chunk::next_on_sweep() {
@@ -549,7 +530,6 @@ std::optional<std::size_t> Chunk::next_on_sweep() {
 }
 
 std::optional<std::size_t> Chunk::next() {
-  const auto started = std::chrono::steady_clock::now();
   std::optional<std::size_t> p;
   if (started_ < at_start_.size()) {
     p = at_start_[started_++];
@@ -561,20 +541,15 @@ std::optional<std::size_t> Chunk::next() {
     if (sweep_winstrs_) sweep_winstrs_->inc(sweep_.dyn_warp);
     sweep_ = sim::LaunchState{};
     golden_.reset();
-    return std::nullopt;
   }
-  out_[pending_[*p].k].ms += ms_since(started);
   return p;
 }
 
-void Chunk::fork_into(std::size_t index, sim::Device& work,
-                      sim::LaunchState& state) {
+void Chunk::fork_into(sim::Device& work, sim::LaunchState& state) {
   // Launch-start forks are all handed out before the sweep's first step,
   // so they copy the untouched golden device and the fresh sweep state.
-  const auto started = std::chrono::steady_clock::now();
   work.memory() = golden_->memory();
   state = sweep_;
-  out_[pending_[index].k].ms += ms_since(started);
 }
 
 void Chunk::simulate(std::size_t index, sim::Device& work,
@@ -582,7 +557,9 @@ void Chunk::simulate(std::size_t index, sim::Device& work,
   const auto started = std::chrono::steady_clock::now();
   SlotResult& slot = out_[pending_[index].k];
   slot.record = run(pending_[index], work, state);
-  slot.ms += ms_since(started);
+  slot.ms = std::chrono::duration<f64, std::milli>(
+                std::chrono::steady_clock::now() - started)
+                .count();
 }
 
 Result<InjectionRecord> Chunk::run(const Pending& p, sim::Device& work,
@@ -803,7 +780,7 @@ void run_chunks(
             });
             continue;
           }
-          job->chunk->fork_into(*index, work, state);
+          job->chunk->fork_into(work, state);
           ++job->running;
           lock.unlock();
           job->chunk->simulate(*index, work, state);
@@ -857,7 +834,7 @@ Result<InjectionRecord> Campaign::run_single(
   sim::Device work(config.machine);
   sim::LaunchState state;
   while (const std::optional<std::size_t> index = chunk.next()) {
-    chunk.fork_into(*index, work, state);
+    chunk.fork_into(work, state);
     chunk.simulate(*index, work, state);
   }
   SlotResult& ran = chunk.results()[0];
@@ -1093,8 +1070,8 @@ Result<CampaignResult> Campaign::run(const CampaignConfig& config_in) {
   // unjournaled index, which a chunk only narrows to its first slot; so a
   // journaled single-threaded campaign (every `gpufi run` worker) runs its
   // first kChunkSlots pending slots as chunks of one. A crash there names
-  // its injection, and the relaunch after a crash in a later chunk runs
-  // that chunk slot by slot: a wrong candidate never crashes twice.
+  // its injection; a crash in a later chunk is not blamed, and the
+  // relaunch runs that chunk slot by slot.
   std::size_t singles =
       config.journal_path && pool.size() == 1 ? kChunkSlots : 0;
   auto make_chunks = [&](const std::vector<std::size_t>& slots) {

@@ -280,6 +280,21 @@ struct CampaignResult {
 
 class Campaign {
  public:
+  /// Most slots one golden sweep serves. Every chunk pays one sweep to its
+  /// last strike, so the sweep's share of a slot falls as 1/K and the
+  /// pool's threads queue for it less often; a larger K holds a chunk's
+  /// records back from the journal longer. On gemm/a100 at 4 threads, 8,
+  /// 16, 32 and 64 ran about 2500, 3200, 4100 and 4800 injections/s
+  /// (BENCH_fork.json).
+  ///
+  /// A journaled campaign on one thread (every `gpufi run` worker) runs its
+  /// first kChunkSlots pending slots as chunks of one, each journaled
+  /// before the next starts, so a crash among them leaves the crashing
+  /// index as the lowest unjournaled one; later chunks journal their slots
+  /// together after all of them ran. The supervisor blames a crash only in
+  /// the first case.
+  static constexpr std::size_t kChunkSlots = 32;
+
   /// Runs the full two-phase campaign.
   static Result<CampaignResult> run(const CampaignConfig& config);
 

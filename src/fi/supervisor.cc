@@ -94,6 +94,9 @@ struct ShardState {
   u32 backoff_level = 0;         ///< consecutive crashes feeding the backoff
   u32 no_progress_crashes = 0;   ///< consecutive crashes with zero progress
   u64 records_at_launch = 0;
+  /// Highest index a crash of the running worker is blamed on; nullopt =
+  /// every index (exact_blame_limit).
+  std::optional<u64> blame_limit;
   std::optional<u64> poison_candidate;
   u32 poison_streak = 0;
 };
@@ -109,6 +112,24 @@ std::optional<u64> lowest_unjournaled(u64 n, u32 shards, u32 s,
                                       const std::set<u64>& done) {
   for (u64 i = s; i < n; i += shards) {
     if (done.find(i) == done.end()) return i;
+  }
+  return std::nullopt;
+}
+
+/// The last of the first Campaign::kChunkSlots indices of shard `s`'s
+/// slice that are not in `done`, or nullopt when fewer are left. A worker
+/// launched with `done` journaled runs those slots one at a time, each
+/// journaled before the next starts, so a crash among them leaves the index
+/// it died on as the lowest unjournaled one; past them it journals whole
+/// chunks at once, and the lowest unjournaled index is only the first slot
+/// of the chunk that crashed.
+std::optional<u64> exact_blame_limit(u64 n, u32 shards, u32 s,
+                                     const std::set<u64>& done) {
+  std::size_t pending = 0;
+  for (u64 i = s; i < n; i += shards) {
+    if (done.find(i) == done.end() && ++pending == Campaign::kChunkSlots) {
+      return i;
+    }
   }
   return std::nullopt;
 }
@@ -464,8 +485,13 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
   auto handle_crash = [&](ShardState& shard, int exit_code) {
     const std::set<u64>& done = read_journal(shard.index);
     const bool progress = done.size() > shard.records_at_launch;
-    const std::optional<u64> candidate = lowest_unjournaled(
+    std::optional<u64> candidate = lowest_unjournaled(
         config.num_injections, config.shards, shard.index, done);
+    // A crash inside a multi-slot chunk blames no one: the relaunch runs
+    // that chunk slot by slot, where a poison injection names itself.
+    if (candidate && shard.blame_limit && *candidate > *shard.blame_limit) {
+      candidate.reset();
+    }
     if (candidate && shard.poison_candidate == candidate) {
       ++shard.poison_streak;
     } else {
@@ -766,7 +792,11 @@ Result<SupervisorResult> Supervisor::run(const SupervisorConfig& config) {
                            << ": took over expired lease of "
                            << prior.value().owner;
           }
-          shard.records_at_launch = read_journal(shard.index).size();
+          const std::set<u64>& journaled_now = read_journal(shard.index);
+          shard.records_at_launch = journaled_now.size();
+          shard.blame_limit =
+              exact_blame_limit(config.num_injections, config.shards,
+                                shard.index, journaled_now);
           auto spawned = spawn_worker(config, shard.index, quarantine);
           if (!spawned.is_ok()) return spawned.status();
           shard.pid = spawned.value().pid;

@@ -14,7 +14,8 @@
 //     ever re-run;
 //   * poison-injection quarantine: an injection index that repeatedly
 //     kills its worker (detected as the lowest unjournaled index of a
-//     crashed single-threaded shard) is, after `poison_threshold`
+//     crashed single-threaded shard, counted only when the crash happened
+//     in a slot the worker ran on its own) is, after `poison_threshold`
 //     consecutive crashes, passed to the relaunched worker as
 //     --quarantine=... and journaled as Outcome::kQuarantined instead of
 //     wedging the shard forever;

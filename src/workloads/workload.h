@@ -37,8 +37,10 @@ struct CheckResult {
 ///
 /// Construct, setup(device) once, launch via the spec, then check(device).
 /// check() may run repeatedly, and on any device whose memory was copied
-/// from the set-up one (a campaign checks each injection on a work device
-/// forked from its chunk's golden device). Construction and the CPU
+/// from the set-up one: a campaign checks each injection on a work device
+/// forked from its chunk's golden device, from several pool threads at once
+/// on one workload instance, so check() is const and must not mutate the
+/// workload. Construction and the CPU
 /// reference must be deterministic (seeded) so every injection run of a
 /// campaign sees identical inputs.
 class Workload {
@@ -58,7 +60,7 @@ class Workload {
     sim::TrapKind trap = sim::TrapKind::kNone;  ///< d2h ECC trap, if any
     CheckResult result;
   };
-  virtual Result<Checked> check(sim::Device& device) = 0;
+  virtual Result<Checked> check(sim::Device& device) const = 0;
 
   /// Relative-error tolerance for within_tolerance (0 = exact match only).
   [[nodiscard]] virtual f64 tolerance() const { return 0.0; }

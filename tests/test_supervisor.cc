@@ -285,6 +285,44 @@ TEST(Supervisor, PoisonInjectionIsQuarantinedDeterministically) {
   (void)merged;
 }
 
+TEST(Supervisor, PoisonInsideAChunkIsBlamedExactlyAtThresholdOne) {
+  // Past its first kChunkSlots pending slots a worker journals a whole
+  // chunk at once, so a poison injection in the middle of a chunk leaves
+  // the chunk's first slot as the lowest unjournaled index. At threshold 1
+  // that crash must convict no one; the relaunch runs the chunk slot by
+  // slot and convicts the poison itself.
+  constexpr u64 kK = Campaign::kChunkSlots;
+  const u64 injections = 2 * (3 * kK);  // shard 1: 32 singles, 2 chunks
+  // Shard 1 owns the odd indices; slot j is index 2j + 1. Slots [0, K)
+  // run alone, [K, 2K) form the first chunk: poison its middle slot.
+  const u64 poison = 2 * (kK + kK / 2) + 1;
+  const fs::path dir = scratch_dir("poison_chunk");
+  const std::string reference = write_reference_journal(dir, injections);
+  auto config = sup_config(dir / "run", injections, 2);
+  config.poison_threshold = 1;
+  config.worker_failpoints =
+      "inject.execute=kill@key=" + std::to_string(poison);
+  fi::SupervisorResult result;
+  merged_bytes(config, &result);
+  // One unblamed crash inside the chunk, one blamed crash on the poison.
+  EXPECT_EQ(result.crashes, 2u);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(result.quarantined[0], poison);
+
+  auto merged_lines = lines_by_index(config.dir + "/merged.jsonl");
+  auto reference_lines = lines_by_index(reference);
+  ASSERT_EQ(merged_lines.size(), reference_lines.size());
+  for (const auto& [index, line] : reference_lines) {
+    if (index == std::to_string(poison)) {
+      EXPECT_NE(merged_lines.at(index).find("\"outcome\":\"Quarantined\""),
+                std::string::npos)
+          << merged_lines.at(index);
+      continue;
+    }
+    EXPECT_EQ(merged_lines.at(index), line) << "record " << index;
+  }
+}
+
 TEST(Supervisor, StaleHeartbeatGetsTheWorkerKilledAndRetried) {
   const fs::path dir = scratch_dir("stall");
   const std::string reference = write_reference_journal(dir, 8);
